@@ -18,6 +18,7 @@
 #include "types/cert_cache.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
+#include "support/prng.hpp"
 #include "types/certs.hpp"
 #include "types/messages.hpp"
 #include "wal/wal.hpp"
@@ -243,16 +244,47 @@ void BM_MessageSerialize(benchmark::State& state) {
 }
 BENCHMARK(BM_MessageSerialize);
 
-void BM_SchedulerChurn(benchmark::State& state) {
-  for (auto _ : state) {
-    sim::Scheduler sched;
-    int counter = 0;
-    for (int i = 0; i < 1000; ++i)
-      sched.schedule_at(TimePoint{i}, [&counter] { ++counter; });
-    sched.run_all();
-    benchmark::DoNotOptimize(counter);
+// The scheduler under the simulator's real load shape: a queue held at
+// ~100k pending events at seeded random times, each event scheduling its
+// successor when it runs, one in eight cancelled before it fires (a
+// re-armed timer, replaced at once), and a 40-byte capture per callback.
+struct SchedulerChurn {
+  static constexpr std::size_t kPending = 100'000;
+  sim::Scheduler sched;
+  Prng prng{7};
+  std::uint64_t sink = 0;
+  std::size_t budget = 0;  // successors still to schedule
+
+  void add() {
+    const std::uint64_t a = prng.next_u64();
+    const std::uint64_t b = a >> 7, c = a >> 13, d = a >> 29;
+    const sim::TaskId id =
+        sched.schedule_after(Duration(static_cast<std::int64_t>(a % 1'000'000'000)),
+                             [this, a, b, c, d] {
+                               sink += a ^ b ^ c ^ d;
+                               if (budget > 0) {
+                                 --budget;
+                                 add();
+                               }
+                             });
+    if (a % 8 == 0) {
+      sched.cancel(id);
+      add();
+    }
   }
-  state.SetItemsProcessed(state.iterations() * 1000);
+};
+
+void BM_SchedulerChurn(benchmark::State& state) {
+  std::uint64_t executed = 0;
+  for (auto _ : state) {
+    SchedulerChurn churn;
+    churn.budget = 2 * SchedulerChurn::kPending;
+    for (std::size_t i = 0; i < SchedulerChurn::kPending; ++i) churn.add();
+    churn.sched.run_all();
+    benchmark::DoNotOptimize(churn.sink);
+    executed += churn.sched.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_SchedulerChurn);
 
@@ -311,6 +343,27 @@ void BM_VoteAccumulator(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 100);
 }
 BENCHMARK(BM_VoteAccumulator);
+
+// One view's votes at n = 200 as every node sees them: the full multicast,
+// so a third of the votes arrive after the certificate formed, plus a
+// re-send of every fourth vote (retransmission or replay).
+void BM_VoteAccumulatorLate(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto gen = ValidatorSet::generate(n, crypto::fast_scheme(), 1);
+  const auto block = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(0, 1));
+  std::vector<Vote> votes;
+  for (NodeId i = 0; i < n; ++i) {
+    votes.push_back(Vote::make(VoteKind::kNormal, 1, block->id(), i, gen.private_keys[i],
+                               gen.set->scheme()));
+    if (i % 4 == 3) votes.push_back(votes.back());
+  }
+  for (auto _ : state) {
+    VoteAccumulator acc(gen.set, false);
+    for (const auto& v : votes) benchmark::DoNotOptimize(acc.add(v, 1));
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(votes.size()));
+}
+BENCHMARK(BM_VoteAccumulatorLate)->Arg(200);
 
 // Trace hot path (DESIGN.md §5.2). The three variants bound the cost of
 // instrumentation: recording, a tracer constructed disabled (the branch in

@@ -1,12 +1,12 @@
 #include "consensus/accumulators.hpp"
 
-#include <algorithm>
-
 #include "support/mutations.hpp"
 
 namespace moonshot {
 
 namespace {
+constexpr std::size_t kVoteKinds = static_cast<std::size_t>(VoteKind::kCommit) + 1;
+
 // kCertQuorumFPlusOne weakens the certificate threshold from 2f+1 to f+1 —
 // below quorum intersection, so two conflicting certificates can coexist in
 // one view without any equivocating voter.
@@ -18,23 +18,30 @@ std::size_t cert_threshold(const ValidatorSet& validators) {
 
 QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
   if (!validators_->contains(vote.voter)) return nullptr;
+  const std::size_t n = validators_->size();
 
   // Dedupe first: replays never reach signature verification.
-  auto& per_view = by_view_[vote.view];
-  auto& bucket = per_view.buckets[Key{vote.kind, vote.block}];
+  PerView& pv = by_view_.get(
+      vote.view, [&] { return PerView{{}, std::vector<std::uint32_t>(kVoteKinds * n)}; });
+  auto it = std::find_if(pv.buckets.begin(), pv.buckets.end(), [&](const Bucket& b) {
+    return b.kind == vote.kind && b.block == vote.block;
+  });
+  if (it == pv.buckets.end())
+    it = pv.buckets.insert(it, Bucket{vote.kind, vote.block, VoterBits(n), {}, false});
+  Bucket& bucket = *it;
   if (bucket.emitted) return nullptr;
-  for (const auto& v : bucket.votes) {
-    if (v.voter == vote.voter) {
-      ++duplicates_dropped_;
-      return nullptr;
-    }
+  if (bucket.voters.test(vote.voter)) {
+    ++duplicates_dropped_;
+    return nullptr;
   }
 
   if (verify_ && !vote.verify(*validators_)) return nullptr;
 
-  auto [it, fresh] =
-      per_view.first_block.try_emplace({vote.kind, vote.voter}, vote.block);
-  if (!fresh && it->second != vote.block) ++equivocations_seen_;
+  const auto index = static_cast<std::uint32_t>(it - pv.buckets.begin()) + 1;
+  std::uint32_t& first = pv.first[static_cast<std::size_t>(vote.kind) * n + vote.voter];
+  if (first == 0) first = index;
+  else if (first != index) ++equivocations_seen_;
+  bucket.voters.set(vote.voter);
   bucket.votes.push_back(vote);
 
   if (bucket.votes.size() >= cert_threshold(*validators_)) {
@@ -45,45 +52,41 @@ QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
 }
 
 std::size_t VoteAccumulator::count(View view, VoteKind kind, const BlockId& block) const {
-  auto vit = by_view_.find(view);
-  if (vit == by_view_.end()) return 0;
-  auto kit = vit->second.buckets.find(Key{kind, block});
-  return kit == vit->second.buckets.end() ? 0 : kit->second.votes.size();
-}
-
-void VoteAccumulator::prune_below(View view) {
-  by_view_.erase(by_view_.begin(), by_view_.lower_bound(view));
+  const PerView* pv = by_view_.find(view);
+  if (!pv) return 0;
+  for (const Bucket& b : pv->buckets)
+    if (b.kind == kind && b.block == block) return b.votes.size();
+  return 0;
 }
 
 TimeoutAccumulator::Result TimeoutAccumulator::add(const TimeoutMsg& timeout) {
   Result result;
   if (!validators_->contains(timeout.sender)) return result;
+  const std::size_t n = validators_->size();
 
   // Dedupe first: replays never reach signature verification. First-wins:
   // the counted message may already be embedded in an emitted TC, so a later
   // conflicting one must not replace it — it is only *counted* (once per
   // (view, sender)) as equivocation evidence.
-  auto& bucket = by_view_[timeout.view];
-  for (const auto& t : bucket.timeouts) {
-    if (t.sender != timeout.sender) continue;
+  Bucket& bucket = by_view_.get(timeout.view, [&] {
+    return Bucket{{}, std::vector<std::uint32_t>(n), VoterBits(n), false, false};
+  });
+  if (const std::uint32_t seen = bucket.slot[timeout.sender]) {
+    const TimeoutMsg& t = bucket.timeouts[seen - 1];
     const View seen_lock = t.high_qc ? t.high_qc->view : 0;
     const View new_lock = timeout.high_qc ? timeout.high_qc->view : 0;
-    if (seen_lock != new_lock) {
-      const bool counted =
-          std::find(bucket.equivocators.begin(), bucket.equivocators.end(),
-                    timeout.sender) != bucket.equivocators.end();
-      if (!counted) {
-        bucket.equivocators.push_back(timeout.sender);
-        ++equivocations_seen_;
-      }
-    } else {
+    if (seen_lock == new_lock) {
       ++duplicates_dropped_;
+    } else if (!bucket.equivocators.test(timeout.sender)) {
+      bucket.equivocators.set(timeout.sender);
+      ++equivocations_seen_;
     }
     return result;
   }
 
   if (!timeout.verify(*validators_, verify_, cert_cache_)) return result;
   bucket.timeouts.push_back(timeout);
+  bucket.slot[timeout.sender] = static_cast<std::uint32_t>(bucket.timeouts.size());
 
   if (!bucket.f1_emitted && bucket.timeouts.size() >= validators_->honest_evidence_size()) {
     bucket.f1_emitted = true;
@@ -94,15 +97,6 @@ TimeoutAccumulator::Result TimeoutAccumulator::add(const TimeoutMsg& timeout) {
     result.tc = TimeoutCert::assemble(bucket.timeouts, *validators_);
   }
   return result;
-}
-
-std::size_t TimeoutAccumulator::count(View view) const {
-  auto it = by_view_.find(view);
-  return it == by_view_.end() ? 0 : it->second.timeouts.size();
-}
-
-void TimeoutAccumulator::prune_below(View view) {
-  by_view_.erase(by_view_.begin(), by_view_.lower_bound(view));
 }
 
 }  // namespace moonshot

@@ -7,14 +7,16 @@
 //
 // Deduplication runs BEFORE signature verification: a vote or timeout from a
 // sender already counted for that key is dropped without touching the
-// (expensive) signature path, so replayed traffic costs a map lookup rather
+// (expensive) signature path, so replayed traffic costs a bit test rather
 // than a curve operation.
+//
+// State is flat: a node holds only a few live views, each in a vector sorted
+// by view, and per-view voter state is indexed by validator id (bitsets and
+// small arrays) rather than kept in node-based maps.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
-#include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -23,6 +25,46 @@
 #include "types/vote.hpp"
 
 namespace moonshot {
+
+/// One bit per validator index.
+class VoterBits {
+ public:
+  explicit VoterBits(std::size_t n = 0) : words_((n + 63) / 64) {}
+  bool test(NodeId i) const { return (words_[i / 64] >> (i % 64)) & 1u; }
+  void set(NodeId i) { words_[i / 64] |= std::uint64_t{1} << (i % 64); }
+
+ private:
+  std::vector<std::uint64_t> words_;
+};
+
+/// Per-view entries in a vector sorted by view. Lookups binary-search a few
+/// contiguous entries; nothing is sized by the view number itself, so a view
+/// taken off the wire costs one entry however large it is.
+template <class T>
+class ByView {
+ public:
+  const T* find(View v) const {
+    auto it = lower(entries_, v);
+    return it != entries_.end() && it->first == v ? &it->second : nullptr;
+  }
+  /// The entry for `v`, created by `make()` if absent.
+  template <class Make>
+  T& get(View v, Make make) {
+    auto it = lower(entries_, v);
+    if (it == entries_.end() || it->first != v) it = entries_.emplace(it, v, make());
+    return it->second;
+  }
+  void prune_below(View v) { entries_.erase(entries_.begin(), lower(entries_, v)); }
+
+ private:
+  using Entry = std::pair<View, T>;
+  template <class Self>
+  static auto lower(Self& entries, View v) {
+    return std::lower_bound(entries.begin(), entries.end(), v,
+                            [](const Entry& e, View x) { return e.first < x; });
+  }
+  std::vector<Entry> entries_;
+};
 
 /// Accumulates votes per (view, kind, block). add() returns a certificate
 /// the first time a quorum is reached for that key, nullptr otherwise.
@@ -54,31 +96,27 @@ class VoteAccumulator {
   std::uint64_t duplicates_dropped() const { return duplicates_dropped_; }
 
   /// Drops all state for views < `view`.
-  void prune_below(View view);
+  void prune_below(View view) { by_view_.prune_below(view); }
 
  private:
-  struct Key {
+  struct Bucket {
     VoteKind kind;
     BlockId block;
-    friend bool operator<(const Key& a, const Key& b) {
-      if (a.kind != b.kind) return a.kind < b.kind;
-      return a.block < b.block;
-    }
-  };
-  struct Bucket {
-    std::vector<Vote> votes;  // distinct voters
+    VoterBits voters;         // dedupe
+    std::vector<Vote> votes;  // distinct voters, in arrival order
     bool emitted = false;
   };
   struct PerView {
-    std::map<Key, Bucket> buckets;
-    // First block each (kind, voter) voted for this view — equivocation probe.
-    std::map<std::pair<VoteKind, NodeId>, BlockId> first_block;
+    std::vector<Bucket> buckets;  // the few (kind, block) pairs seen
+    // first[kind * n + voter]: 1 + index of the bucket the voter first voted
+    // into with that kind this view, 0 if none — the equivocation probe.
+    std::vector<std::uint32_t> first;
   };
 
   ValidatorSetPtr validators_;
   bool verify_;
   bool aggregate_;
-  std::map<View, PerView> by_view_;
+  ByView<PerView> by_view_;
   std::uint64_t equivocations_seen_ = 0;
   std::uint64_t duplicates_dropped_ = 0;
 };
@@ -103,8 +141,11 @@ class TimeoutAccumulator {
   /// same few QCs). Borrowed pointer; must outlive the accumulator.
   void set_cert_cache(CertVerifyCache* cache) { cert_cache_ = cache; }
 
-  std::size_t count(View view) const;
-  void prune_below(View view);
+  std::size_t count(View view) const {
+    const Bucket* b = by_view_.find(view);
+    return b ? b->timeouts.size() : 0;
+  }
+  void prune_below(View view) { by_view_.prune_below(view); }
 
   /// Conflicting timeouts observed: a second timeout from an already-counted
   /// sender for the same view carrying a DIFFERENT high-QC view. The first
@@ -118,8 +159,9 @@ class TimeoutAccumulator {
 
  private:
   struct Bucket {
-    std::vector<TimeoutMsg> timeouts;  // distinct senders
-    std::vector<NodeId> equivocators;  // senders already counted as conflicting
+    std::vector<TimeoutMsg> timeouts;  // distinct senders, in arrival order
+    std::vector<std::uint32_t> slot;   // sender -> 1 + index in timeouts, 0 = none
+    VoterBits equivocators;            // senders already counted as conflicting
     bool f1_emitted = false;
     bool tc_emitted = false;
   };
@@ -127,7 +169,7 @@ class TimeoutAccumulator {
   ValidatorSetPtr validators_;
   bool verify_;
   CertVerifyCache* cert_cache_ = nullptr;
-  std::map<View, Bucket> by_view_;
+  ByView<Bucket> by_view_;
   std::uint64_t equivocations_seen_ = 0;
   std::uint64_t duplicates_dropped_ = 0;
 };

@@ -123,7 +123,7 @@ BlockPtr BaseNode::create_block(View view, const BlockPtr& parent) {
 
 void BaseNode::record_qc_and_try_commit(const QcPtr& qc) {
   MOONSHOT_INVARIANT(qc != nullptr, "null certificate");
-  auto [it, inserted] = qc_by_view_.emplace(qc->view, qc);
+  const auto [recorded, inserted] = qc_table_.insert(qc);
   if (inserted) {
     trace(obs::EventKind::kQcFormed, qc->view, obs::id_prefix(qc->block),
           static_cast<std::uint64_t>(qc->kind));
@@ -132,11 +132,11 @@ void BaseNode::record_qc_and_try_commit(const QcPtr& qc) {
     if (ctx_.wal && !wal_restoring_) ctx_.wal->append_qc(*qc);
   }
   if (!inserted) {
-    if (it->second->block != qc->block) {
+    if (recorded->block != qc->block) {
       // Two certified blocks in one view implies > f Byzantine voters.
       LOG_ERROR("node %u: conflicting certificates for view %llu (%s vs %s)", ctx_.id,
                 static_cast<unsigned long long>(qc->view),
-                short_hex(it->second->block.view()).c_str(),
+                short_hex(recorded->block.view()).c_str(),
                 short_hex(qc->block.view()).c_str());
     }
     return;
@@ -169,10 +169,7 @@ void BaseNode::try_commit_chain_ending_at(View newest_view) {
   commit_chain_by_id(cur->block);
 }
 
-QcPtr BaseNode::qc_for_view(View v) const {
-  auto it = qc_by_view_.find(v);
-  return it == qc_by_view_.end() ? nullptr : it->second;
-}
+QcPtr BaseNode::qc_for_view(View v) const { return qc_table_.find(v); }
 
 void BaseNode::commit_chain(const BlockPtr& block) {
   MOONSHOT_INVARIANT(block != nullptr, "commit of unknown block");

@@ -8,7 +8,6 @@
 // in view v+1".
 #pragma once
 
-#include <map>
 #include <optional>
 #include <unordered_map>
 #include <unordered_set>
@@ -17,6 +16,7 @@
 #include "consensus/accumulators.hpp"
 #include "consensus/context.hpp"
 #include "consensus/node.hpp"
+#include "consensus/qc_table.hpp"
 #include "obs/trace.hpp"
 #include "support/log.hpp"
 #include "types/cert_cache.hpp"
@@ -215,7 +215,7 @@ class BaseNode : public IConsensusNode {
   /// Pacemaker counts accumulated by the note_* wrappers; accumulator and
   /// cert-cache statistics are merged in at counters() time.
   NodeCounters counters_;
-  std::map<View, QcPtr> qc_by_view_;
+  QcTable qc_table_;
   // Commit targets waiting for a missing ancestor body.
   std::unordered_set<BlockId> pending_commit_targets_;
   // Outstanding block fetches: id -> retry count.

@@ -46,6 +46,12 @@ Duration SimNetwork::proc_cost(const Message& m, std::uint64_t wire_size) const 
   return c;
 }
 
+Duration SimNetwork::rx_cost(const Message& m, std::uint64_t wire_size) const {
+  return Duration(static_cast<std::int64_t>(static_cast<double>(wire_size) * 8.0 /
+                                            cfg_.bandwidth_bps * 1e9)) +
+         proc_cost(m, wire_size);
+}
+
 void SimNetwork::multicast(NodeId from, MessagePtr m) {
   if (silenced_.at(from)) return;
   if (tap_) tap_(from, *m);
@@ -57,16 +63,18 @@ void SimNetwork::multicast(NodeId from, MessagePtr m) {
 
   // Self-delivery first: immediate and free (local shortcut).
   stats_.messages_sent++;
-  sched_.schedule_at(sched_.now(), [this, from, m] { deliver_(from, from, m); });
+  schedule_arrival(sched_.now(), sim::EventTag{}, from, from, m, wire);
 
-  // The NIC serializes the n-1 copies back-to-back.
+  // The NIC serializes the n-1 copies back-to-back. Every copy costs the
+  // receivers the same pipeline time, so it is computed once.
   TimePoint egress = std::max(sched_.now(), egress_free_[from]);
   const Duration ser =
       Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9));
+  const Duration rx = rx_cost(*m, wire);
   for (NodeId to = 0; to < n; ++to) {
     if (to == from) continue;
     egress = egress + ser;
-    send_one(from, to, m, wire, egress);
+    send_one(from, to, m, wire, egress, rx);
   }
   egress_free_[from] = egress;
 }
@@ -80,14 +88,14 @@ void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
   }
   if (to == from) {
     stats_.messages_sent++;
-    sched_.schedule_at(sched_.now(), [this, from, m] { deliver_(from, from, m); });
+    schedule_arrival(sched_.now(), sim::EventTag{}, from, from, m, wire);
     return;
   }
   const Duration ser =
       Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9));
   const TimePoint egress = std::max(sched_.now(), egress_free_[from]) + ser;
   egress_free_[from] = egress;
-  send_one(from, to, m, wire, egress);
+  send_one(from, to, m, wire, egress, rx_cost(*m, wire));
 }
 
 void SimNetwork::set_drop_filter(DropFilter f) {
@@ -103,7 +111,7 @@ void SimNetwork::set_drop_filter(DropFilter f) {
 }
 
 void SimNetwork::send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire,
-                          TimePoint egress_done) {
+                          TimePoint egress_done, Duration rx) {
   stats_.messages_sent++;
   stats_.bytes_sent += wire;
 
@@ -121,16 +129,16 @@ void SimNetwork::send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint
     return;
   }
 
-  deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay);
+  deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay, rx);
   for (int dup = 0; dup < verdict.duplicates; ++dup) {
     stats_.messages_duplicated++;
-    deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay);
+    deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay, rx);
   }
 }
 
 void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
                               std::uint64_t wire, TimePoint egress_done,
-                              Duration extra_delay) {
+                              Duration extra_delay, Duration rx) {
   // Propagation with jitter.
   const Duration base =
       cfg_.matrix.one_way(regions_.region_of(from), regions_.region_of(to));
@@ -170,11 +178,8 @@ void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
     }
   }
 
-  // Receive pipeline: FIFO through the destination NIC + processing.
-  const Duration rx =
-      Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9)) +
-      proc_cost(*m, wire);
-  // We don't know the future ingress state at `arrival`, so we approximate
+  // Receive pipeline: FIFO through the destination NIC + processing. We
+  // don't know the future ingress state at `arrival`, so we approximate
   // the FIFO by tracking the pipeline's busy-until watermark.
   const TimePoint start = std::max(arrival, ingress_free_[to]);
   const TimePoint done = start + rx;
@@ -182,13 +187,37 @@ void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
 
   // Tagged as a delivery choice point: the model checker (src/mc/) reorders
   // these events freely; normal runs execute them in (time, seq) order.
-  sched_.schedule_at(
-      done, sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m->index())),
-      [this, from, to, m, wire] {
-        stats_.messages_delivered++;
-        if (tracer_) tracer_->record(to, obs::EventKind::kMsgDelivered, 0, m->index(), wire, from);
-        deliver_(to, from, m);
-      });
+  schedule_arrival(done,
+                   sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m->index())),
+                   from, to, m, wire);
+}
+
+void SimNetwork::schedule_arrival(TimePoint at, sim::EventTag tag, NodeId from, NodeId to,
+                                  const MessagePtr& m, std::uint64_t wire) {
+  std::uint32_t slot;
+  if (free_slots_.empty()) {
+    slot = static_cast<std::uint32_t>(in_flight_.size());
+    in_flight_.push_back(InFlight{from, to, m, wire});
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+    in_flight_[slot] = InFlight{from, to, m, wire};
+  }
+  sched_.schedule_at(at, tag, [this, slot] { arrive(slot); });
+}
+
+void SimNetwork::arrive(std::uint32_t slot) {
+  // Take the record out first: delivering may send, reusing or growing the slab.
+  const InFlight copy = std::move(in_flight_[slot]);
+  free_slots_.push_back(slot);
+  if (copy.from != copy.to) {
+    stats_.messages_delivered++;
+    if (tracer_) {
+      tracer_->record(copy.to, obs::EventKind::kMsgDelivered, 0, copy.m->index(), copy.wire,
+                      copy.from);
+    }
+  }
+  deliver_(copy.to, copy.from, copy.m);
 }
 
 void SimNetwork::export_metrics(obs::Registry& reg,

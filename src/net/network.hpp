@@ -142,10 +142,26 @@ class SimNetwork final : public INetwork {
   const NetworkConfig& config() const { return cfg_; }
 
  private:
+  /// One in-flight copy. Its scheduled callback captures only (this, slot),
+  /// which fits std::function's local buffer: a delivery allocates nothing.
+  /// from == to marks a self-delivery, which is neither counted nor traced.
+  struct InFlight {
+    NodeId from = 0;
+    NodeId to = 0;
+    MessagePtr m;
+    std::uint64_t wire = 0;
+  };
+
   void send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
-                TimePoint egress_done);
+                TimePoint egress_done, Duration rx);
   void deliver_copy(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
-                    TimePoint egress_done, Duration extra_delay);
+                    TimePoint egress_done, Duration extra_delay, Duration rx);
+  /// Parks a copy in the in-flight slab and schedules its arrival at `at`.
+  void schedule_arrival(TimePoint at, sim::EventTag tag, NodeId from, NodeId to,
+                        const MessagePtr& m, std::uint64_t wire_size);
+  void arrive(std::uint32_t slot);
+  /// Receive-pipeline time of one copy: NIC serialization + processing.
+  Duration rx_cost(const Message& m, std::uint64_t wire_size) const;
   Duration proc_cost(const Message& m, std::uint64_t wire_size) const;
 
   sim::Scheduler& sched_;
@@ -162,6 +178,8 @@ class SimNetwork final : public INetwork {
   Tap tap_;
   obs::Tracer* tracer_ = nullptr;
   NetworkStats stats_;
+  std::vector<InFlight> in_flight_;         // grows on demand
+  std::vector<std::uint32_t> free_slots_;  // reusable in_flight_ indices
 };
 
 }  // namespace moonshot::net

@@ -1,8 +1,13 @@
 // Discrete-event simulation engine.
 //
-// A Scheduler owns the simulated clock and a priority queue of timestamped
-// callbacks. Events at equal timestamps execute in scheduling order (stable),
-// which — together with seeded PRNGs — makes every run bit-reproducible.
+// A Scheduler owns the simulated clock and a binary min-heap of 24-byte
+// (time, seq, slot) keys over a free-listed slab of event slots, each holding
+// a callback and its EventTag: sifts move only keys, and freed slots are
+// reused. Equal timestamps run in scheduling order (seq), which — together
+// with seeded PRNGs — makes every run bit-reproducible. A TaskId is (slot
+// generation, slot); the generation is bumped whenever a slot is freed, so
+// cancel() marks only the live event it names (the heap drops marked keys
+// as they surface) and a stale id is a no-op.
 //
 // Events may carry an EventTag classifying them as *choice points* for the
 // model-checking explorer (src/mc/): message deliveries and protocol timers.
@@ -19,93 +24,10 @@
 
 namespace moonshot::sim {
 
-/// Handle for cancelling a scheduled event. 0 is never a valid id.
+/// Handle for cancelling a scheduled event: the event's slab slot in the low
+/// 32 bits and the slot's generation (never 0) in the high 32, so 0 is never
+/// a valid id and an id outlives its event harmlessly.
 using TaskId = std::uint64_t;
-
-/// Flat open-addressed set of TaskIds for the scheduler's hot path. TaskIds
-/// start at 1, so 0 marks an empty slot and UINT64_MAX a tombstone.
-/// Power-of-two capacity with linear probing: steady-state insert, erase,
-/// and lookup touch one contiguous array and allocate nothing, unlike the
-/// node-per-element unordered_set it replaces (which dominated the
-/// schedule/cancel churn profile of short-lived simulations).
-class IdSet {
- public:
-  bool contains(TaskId id) const {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == id) return true;
-      if (slots_[i] == kEmpty) return false;
-    }
-  }
-
-  void insert(TaskId id) {
-    if (slots_.empty() || (used_ + 1) * 4 > slots_.size() * 3) grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t tomb = SIZE_MAX;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == id) return;
-      if (slots_[i] == kTomb && tomb == SIZE_MAX) tomb = i;
-      if (slots_[i] == kEmpty) {
-        if (tomb != SIZE_MAX) {
-          slots_[tomb] = id;  // reuse the tombstone; used_ unchanged
-        } else {
-          slots_[i] = id;
-          ++used_;
-        }
-        ++size_;
-        return;
-      }
-    }
-  }
-
-  /// Removes `id` if present; returns whether it was.
-  bool erase(TaskId id) {
-    if (slots_.empty()) return false;
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hash(id) & mask;; i = (i + 1) & mask) {
-      if (slots_[i] == id) {
-        slots_[i] = kTomb;
-        --size_;
-        return true;
-      }
-      if (slots_[i] == kEmpty) return false;
-    }
-  }
-
-  std::size_t size() const { return size_; }
-
- private:
-  static constexpr TaskId kEmpty = 0;
-  static constexpr TaskId kTomb = UINT64_MAX;
-
-  static std::size_t hash(TaskId id) {
-    // splitmix64 finalizer: sequential ids scatter uniformly.
-    std::uint64_t x = id;
-    x ^= x >> 30;
-    x *= 0xbf58476d1ce4e5b9ull;
-    x ^= x >> 27;
-    x *= 0x94d049bb133111ebull;
-    x ^= x >> 31;
-    return static_cast<std::size_t>(x);
-  }
-
-  void grow() {
-    std::size_t cap = 16;
-    while (cap < size_ * 4) cap <<= 1;
-    std::vector<TaskId> old = std::move(slots_);
-    slots_.assign(cap, kEmpty);
-    size_ = 0;
-    used_ = 0;
-    for (TaskId id : old) {
-      if (id != kEmpty && id != kTomb) insert(id);
-    }
-  }
-
-  std::vector<TaskId> slots_;
-  std::size_t size_ = 0;  // live entries
-  std::size_t used_ = 0;  // live entries + tombstones (drives rehash)
-};
 
 /// Classification of a scheduled event for systematic exploration. Untagged
 /// (kInternal) events are deterministic bookkeeping the explorer always runs
@@ -189,7 +111,7 @@ class Scheduler {
   /// number of events run; `max_events` is a runaway guard.
   std::uint64_t run_internal(std::uint64_t max_events = 1 << 20);
 
-  std::size_t pending() const { return heap_.size() - cancelled_.size(); }
+  std::size_t pending() const { return heap_.size() - cancelled_; }
   std::uint64_t events_executed() const { return executed_; }
 
   /// Order-sensitive digest of the execution so far: folds the (time, seq) of
@@ -199,31 +121,46 @@ class Scheduler {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
-  struct Event {
+  struct Key {
     TimePoint t;
-    std::uint64_t seq;  // tie-breaker: FIFO among equal timestamps
-    TaskId id;
-    EventTag tag;
-    Callback cb;
+    std::uint64_t seq;   // tie-breaker: FIFO among equal timestamps
+    std::uint32_t slot;  // index into slots_
   };
   struct Later {
-    bool operator()(const Event& a, const Event& b) const {
+    bool operator()(const Key& a, const Key& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;
     }
   };
+  enum class State : std::uint8_t { kFree, kQueued, kCancelled };
+  struct Slot {
+    Callback cb;
+    EventTag tag;
+    std::uint32_t gen = 1;        // bumped on release; part of the TaskId
+    std::uint32_t next_free = 0;  // free-list link while kFree
+    State state = State::kFree;
+  };
 
-  void execute(Event ev);
+  static TaskId make_id(std::uint32_t gen, std::uint32_t slot) {
+    return (static_cast<TaskId>(gen) << 32) | slot;
+  }
+  /// The slot of a queued, uncancelled event named by `id`, else nullptr.
+  const Slot* live(TaskId id) const;
+  /// Returns `slot` to the free list under a new generation.
+  void release(std::uint32_t slot);
+  /// Pops cancelled keys off the heap top; true if a live event remains.
+  bool settle();
+  void execute(const Key& key);
 
-  // Binary heap ordered by Later (min (t, seq) at front), maintained with
-  // std::push_heap/pop_heap. A plain vector (rather than priority_queue) so
+  // Min-heap by Later via std::push_heap/pop_heap; a plain vector so that
   // frontier() can enumerate and run_task() can extract arbitrary entries.
-  std::vector<Event> heap_;
-  IdSet cancelled_;
-  IdSet queued_;  // ids still in heap_; bounds cancelled_
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;  // grows on demand; freed slots are reused
+  static constexpr std::uint32_t kNoSlot = UINT32_MAX;
+  std::uint32_t free_head_ = kNoSlot;
+  std::size_t cancelled_ = 0;  // cancelled keys still in heap_
   TimePoint now_ = TimePoint::zero();
   std::uint64_t next_seq_ = 0;
-  TaskId next_id_ = 1;
   std::uint64_t executed_ = 0;
   std::uint64_t fingerprint_ = 0xcbf29ce484222325ull;  // FNV-1a offset basis
 };

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "types/cert_cache.hpp"
 
 namespace moonshot {
@@ -239,6 +241,139 @@ TEST_F(AccumulatorTest, TimeoutViewsIndependent) {
   acc.add(timeout_from(1, 3));
   EXPECT_EQ(acc.count(2), 1u);
   EXPECT_EQ(acc.count(3), 1u);
+}
+
+// --- flat per-view tables -------------------------------------------------------
+
+TEST_F(AccumulatorTest, EquivocationAndDuplicateCountersAcrossKinds) {
+  VoteAccumulator acc(gen_.set, true);
+  const auto b = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(20, 2));
+  const auto c = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(30, 3));
+  auto from0 = [&](VoteKind kind, const BlockPtr& block) {
+    return Vote::make(kind, 1, block->id(), 0, gen_.private_keys[0], gen_.set->scheme());
+  };
+  acc.add(from0(VoteKind::kNormal, block_), 1);
+  acc.add(from0(VoteKind::kNormal, block_), 1);      // exact re-send
+  acc.add(from0(VoteKind::kOptimistic, block_), 1);  // other kind: not a conflict
+  EXPECT_EQ(acc.duplicates_dropped(), 1u);
+  EXPECT_EQ(acc.equivocations_seen(), 0u);
+  acc.add(from0(VoteKind::kNormal, b), 1);  // conflicts with the first normal vote
+  acc.add(from0(VoteKind::kNormal, b), 1);  // re-send of the conflicting vote
+  acc.add(from0(VoteKind::kNormal, c), 1);  // every further block counts again
+  EXPECT_EQ(acc.equivocations_seen(), 2u);
+  EXPECT_EQ(acc.duplicates_dropped(), 2u);
+  acc.add(from0(VoteKind::kOptimistic, b), 1);  // conflicts within its own kind
+  acc.add(from0(VoteKind::kFallback, c), 1);    // first fallback vote
+  acc.add(from0(VoteKind::kCommit, c), 1);      // first commit vote
+  acc.add(from0(VoteKind::kCommit, block_), 1);
+  EXPECT_EQ(acc.equivocations_seen(), 4u);
+  // A conflicting vote with a bad signature is neither counted nor stored.
+  auto forged = Vote::make(VoteKind::kFallback, 1, b->id(), 0, gen_.private_keys[0],
+                           gen_.set->scheme());
+  forged.sig.data[0] ^= 1;
+  acc.add(forged, 1);
+  EXPECT_EQ(acc.equivocations_seen(), 4u);
+  EXPECT_EQ(acc.count(1, VoteKind::kFallback, b->id()), 0u);
+  // Each (kind, block) bucket holds the voter once.
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 1u);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, b->id()), 1u);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, c->id()), 1u);
+  EXPECT_EQ(acc.count(1, VoteKind::kCommit, block_->id()), 1u);
+}
+
+TEST_F(AccumulatorTest, LateVotesAfterQuorumAreNeitherDuplicatesNorCounted) {
+  VoteAccumulator acc(gen_.set, true);
+  for (NodeId i = 0; i < 2; ++i) acc.add(vote_from(i), 1);
+  ASSERT_NE(acc.add(vote_from(2), 1), nullptr);
+  EXPECT_EQ(acc.add(vote_from(3), 1), nullptr);  // late
+  EXPECT_EQ(acc.add(vote_from(0), 1), nullptr);  // late re-send
+  EXPECT_EQ(acc.duplicates_dropped(), 0u);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 3u);
+}
+
+TEST_F(AccumulatorTest, VoterIdsOnBitsetWordEdges) {
+  for (const std::size_t n : {64u, 65u, 200u}) {
+    SCOPED_TRACE(n);
+    const auto gen = ValidatorSet::generate(n, crypto::fast_scheme(), 7);
+    const auto other = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(20, 2));
+    auto vote = [&](NodeId i, const BlockPtr& block) {
+      return Vote::make(VoteKind::kNormal, 1, block->id(), i, gen.private_keys[i],
+                        gen.set->scheme());
+    };
+    VoteAccumulator acc(gen.set, true);
+    std::vector<NodeId> edges = {0, 62, 63, static_cast<NodeId>(n - 1)};
+    if (n > 64) edges.push_back(64);
+    std::sort(edges.begin(), edges.end());
+    edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
+    for (NodeId i : edges) {
+      acc.add(vote(i, block_), 1);
+      acc.add(vote(i, block_), 1);  // duplicate caught at the edge bit
+      acc.add(vote(i, other), 1);   // equivocation caught at the edge slot
+    }
+    EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), edges.size());
+    EXPECT_EQ(acc.count(1, VoteKind::kNormal, other->id()), edges.size());
+    EXPECT_EQ(acc.duplicates_dropped(), edges.size());
+    EXPECT_EQ(acc.equivocations_seen(), edges.size());
+    Vote outsider = vote(0, block_);
+    outsider.voter = static_cast<NodeId>(n);  // one past the last validator
+    EXPECT_EQ(acc.add(outsider, 1), nullptr);
+    // The rest of the quorum completes the certificate exactly once.
+    QcPtr qc;
+    for (NodeId i = 0; i < n && !qc; ++i) qc = acc.add(vote(i, block_), 1);
+    ASSERT_NE(qc, nullptr);
+    EXPECT_EQ(qc->voters.size(), gen.set->quorum_size());
+    EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), gen.set->quorum_size());
+
+    TimeoutAccumulator tacc(gen.set, true);
+    for (NodeId i : edges) {
+      tacc.add(TimeoutMsg::make(2, i, nullptr, gen.private_keys[i], gen.set->scheme()));
+      tacc.add(TimeoutMsg::make(2, i, nullptr, gen.private_keys[i], gen.set->scheme()));
+      tacc.add(TimeoutMsg::make(2, i, qc, gen.private_keys[i], gen.set->scheme()));
+      tacc.add(TimeoutMsg::make(2, i, qc, gen.private_keys[i], gen.set->scheme()));
+    }
+    EXPECT_EQ(tacc.count(2), edges.size());
+    EXPECT_EQ(tacc.duplicates_dropped(), edges.size());
+    EXPECT_EQ(tacc.equivocations_seen(), edges.size());
+  }
+}
+
+TEST_F(AccumulatorTest, PruneThenReAddStartsFresh) {
+  VoteAccumulator acc(gen_.set, true);
+  acc.add(vote_from(0), 1);
+  acc.add(vote_from(1), 1);
+  acc.add(vote_from(0, VoteKind::kNormal, 4), 1);
+  acc.prune_below(2);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 0u);
+  EXPECT_EQ(acc.count(4, VoteKind::kNormal, block_->id()), 1u);
+  // A pruned view's votes are accepted again as new, not as duplicates.
+  EXPECT_EQ(acc.add(vote_from(0), 1), nullptr);
+  EXPECT_EQ(acc.duplicates_dropped(), 0u);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 1u);
+  acc.add(vote_from(1), 1);
+  EXPECT_NE(acc.add(vote_from(2), 1), nullptr);
+  EXPECT_EQ(acc.count(4, VoteKind::kNormal, block_->id()), 1u);
+
+  TimeoutAccumulator tacc(gen_.set, true);
+  tacc.add(timeout_from(0, 2));
+  tacc.add(timeout_from(0, 5));
+  tacc.prune_below(3);
+  EXPECT_EQ(tacc.count(2), 0u);
+  EXPECT_EQ(tacc.count(5), 1u);
+  tacc.add(timeout_from(0, 2));
+  EXPECT_EQ(tacc.count(2), 1u);
+  EXPECT_EQ(tacc.duplicates_dropped(), 0u);
+}
+
+TEST_F(AccumulatorTest, CountReportsUnknownKeysAsZero) {
+  VoteAccumulator acc(gen_.set, true);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 0u);
+  acc.add(vote_from(0), 1);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 1u);
+  EXPECT_EQ(acc.count(1, VoteKind::kOptimistic, block_->id()), 0u);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, Block::genesis()->id()), 0u);
+  EXPECT_EQ(acc.count(2, VoteKind::kNormal, block_->id()), 0u);
+  TimeoutAccumulator tacc(gen_.set, true);
+  EXPECT_EQ(tacc.count(7), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 namespace moonshot::sim {
 namespace {
 
@@ -254,6 +256,101 @@ TEST(Scheduler, RunInternalDrainsOnlyUntaggedEvents) {
   EXPECT_FALSE(delivery);  // tagged events are the explorer's to run
   ASSERT_EQ(s.frontier().size(), 1u);
   EXPECT_EQ(s.frontier()[0].tag.kind, EventTag::Kind::kDelivery);
+}
+
+// --- slot reuse and generation ids --------------------------------------------
+
+TEST(Scheduler, StaleIdDoesNotCancelSlotsNextOccupant) {
+  // A freed slot is reused by the next event under a new generation, so an
+  // id kept past its event's run can never reach the newcomer.
+  Scheduler s;
+  const TaskId old_id = s.schedule_at(TimePoint{10}, [] {});
+  s.run_all();
+  bool ran = false;
+  const TaskId new_id = s.schedule_at(TimePoint{20}, [&] { ran = true; });
+  EXPECT_EQ(static_cast<std::uint32_t>(new_id), static_cast<std::uint32_t>(old_id))
+      << "the freed slot should be reused";
+  EXPECT_NE(new_id, old_id);
+  s.cancel(old_id);
+  EXPECT_EQ(s.pending(), 1u);
+  s.run_all();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Scheduler, StaleIdOfCancelledEventDoesNotCancelReuse) {
+  // Same for an event dropped by cancellation: once the heap discards it,
+  // its slot is reused and the old id must stay inert.
+  Scheduler s;
+  const TaskId doomed = s.schedule_at(TimePoint{10}, [] {});
+  s.cancel(doomed);
+  s.run_all();
+  bool ran = false;
+  const TaskId fresh = s.schedule_at(TimePoint{20}, [&] { ran = true; });
+  EXPECT_EQ(static_cast<std::uint32_t>(fresh), static_cast<std::uint32_t>(doomed));
+  s.cancel(doomed);
+  EXPECT_FALSE(s.run_task(doomed));
+  EXPECT_EQ(s.pending(), 1u);
+  s.run_all();
+  EXPECT_TRUE(ran);
+}
+
+TEST(Scheduler, PendingStaysExactUnderRepeatedAndRacingCancels) {
+  Scheduler s;
+  const TaskId a = s.schedule_at(TimePoint{10}, [] {});
+  const TaskId b = s.schedule_at(TimePoint{20}, [] {});
+  TaskId c = 0;
+  c = s.schedule_at(TimePoint{30}, [&] { s.cancel(c); });  // cancels itself while running
+  s.schedule_at(TimePoint{40}, [] {});
+  EXPECT_EQ(s.pending(), 4u);
+  s.cancel(b);
+  s.cancel(b);  // twice: counted once
+  EXPECT_EQ(s.pending(), 3u);
+  s.run_until(TimePoint{10});
+  s.cancel(a);  // already ran
+  EXPECT_EQ(s.pending(), 2u);
+  s.run_until(TimePoint{30});
+  EXPECT_EQ(s.pending(), 1u);
+  s.cancel(c);  // ran (and cancelled itself) already
+  EXPECT_EQ(s.pending(), 1u);
+  s.run_all();
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.events_executed(), 3u);
+}
+
+TEST(Scheduler, FrontierAndRunTaskSkipCancelledSlots) {
+  Scheduler s;
+  bool ran = false;
+  const TaskId doomed =
+      s.schedule_at(TimePoint{10}, EventTag::timer(0), [&] { ran = true; });
+  const TaskId live = s.schedule_at(TimePoint{20}, EventTag::timer(1), [] {});
+  s.cancel(doomed);
+  const auto f = s.frontier();
+  ASSERT_EQ(f.size(), 1u);
+  EXPECT_EQ(f[0].id, live);
+  EXPECT_FALSE(s.run_task(doomed));
+  EXPECT_FALSE(s.run_task(0));
+  EXPECT_FALSE(s.run_task(live + (TaskId{1} << 32)));  // right slot, wrong generation
+  EXPECT_TRUE(s.run_task(live));
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_TRUE(s.frontier().empty());
+}
+
+TEST(Scheduler, ChurnRunsLiveEventsOnceInOrder) {
+  // Many interleaved schedules and cancels: live events run in (time, seq)
+  // order exactly once, and every cancelled one is skipped.
+  Scheduler s;
+  std::vector<std::pair<std::int64_t, int>> ran;
+  std::vector<TaskId> ids;
+  for (int i = 0; i < 2000; ++i) {
+    const std::int64_t t = (i * 7919) % 500;
+    ids.push_back(s.schedule_at(TimePoint{t}, [&ran, t, i] { ran.emplace_back(t, i); }));
+    if (i % 8 == 3) s.cancel(ids[static_cast<std::size_t>(i / 2)]);
+  }
+  const std::size_t expected = s.pending();
+  s.run_all();
+  EXPECT_EQ(ran.size(), expected);
+  EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
 }
 
 }  // namespace
