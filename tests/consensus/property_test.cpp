@@ -24,8 +24,13 @@ namespace {
 
 struct PropertyCase {
   ProtocolKind protocol;
+  // Zeroed filler where the compiler would otherwise leave padding: gtest
+  // prints the raw bytes of a parameter into each discovered test's name, so
+  // uninitialised padding would make the names differ from run to run.
+  std::uint32_t filler = 0;
   std::uint64_t seed;
 };
+static_assert(sizeof(PropertyCase) == 16, "PropertyCase must have no padding");
 
 std::string case_name(const ::testing::TestParamInfo<PropertyCase>& info) {
   return std::string(protocol_tag(info.param.protocol)) + "_seed" +
@@ -107,7 +112,7 @@ std::vector<PropertyCase> make_cases() {
   std::vector<PropertyCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon}) {
-    for (std::uint64_t seed = 1; seed <= 6; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) cases.push_back({.protocol = p, .seed = seed});
   }
   return cases;
 }
@@ -123,7 +128,7 @@ TEST(PropertySweepParallel, InvariantsHoldAcrossSeeds) {
   std::vector<PropertyCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot, ProtocolKind::kJolteon}) {
-    for (std::uint64_t seed = 100; seed <= 102; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 100; seed <= 102; ++seed) cases.push_back({.protocol = p, .seed = seed});
   }
 
   std::vector<std::string> failures(cases.size());
@@ -205,7 +210,7 @@ std::vector<PropertyCase> moonshot_cases() {
   std::vector<PropertyCase> cases;
   for (const auto p : {ProtocolKind::kSimpleMoonshot, ProtocolKind::kPipelinedMoonshot,
                        ProtocolKind::kCommitMoonshot}) {
-    for (std::uint64_t seed = 10; seed <= 13; ++seed) cases.push_back({p, seed});
+    for (std::uint64_t seed = 10; seed <= 13; ++seed) cases.push_back({.protocol = p, .seed = seed});
   }
   return cases;
 }
