@@ -15,6 +15,7 @@
 #include "crypto/sha256.hpp"
 #include "crypto/sha512.hpp"
 #include "crypto/signature.hpp"
+#include "net/network.hpp"
 #include "types/cert_cache.hpp"
 #include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
@@ -287,6 +288,35 @@ void BM_SchedulerChurn(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(executed));
 }
 BENCHMARK(BM_SchedulerChurn);
+
+// The network's O(n^2) vote fan-out at Fig. 6's largest scale: every node of
+// an n-node aws5 world multicasts three vote-sized messages at once (about
+// the ~120k pending deliveries pm-n200-happy peaks at), a no-op deliver
+// handler, and the scheduler drained. Measures the event queue plus the WAN
+// model per in-flight copy, with no protocol work.
+void BM_MulticastFanout(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const auto gen = ValidatorSet::generate(n, crypto::fast_scheme(), 1);
+  const auto block = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(0, 1));
+  std::vector<MessagePtr> votes;
+  for (NodeId i = 0; i < n; ++i)
+    votes.push_back(make_message<VoteMsg>(VoteMsg{Vote::make(
+        VoteKind::kNormal, 1, block->id(), i, gen.private_keys[i], gen.set->scheme())}));
+  std::uint64_t executed = 0;
+  for (auto _ : state) {
+    sim::Scheduler sched;
+    net::NetworkConfig cfg;
+    cfg.matrix = net::LatencyMatrix::aws5();
+    net::SimNetwork network(sched, n, cfg, [](NodeId, NodeId, const MessagePtr&) {});
+    for (int round = 0; round < 3; ++round)
+      for (NodeId i = 0; i < n; ++i) network.multicast(i, votes[i]);
+    sched.run_all();
+    benchmark::DoNotOptimize(network.stats().messages_delivered);
+    executed += sched.events_executed();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(executed));
+}
+BENCHMARK(BM_MulticastFanout)->Arg(200)->Unit(benchmark::kMillisecond);
 
 void BM_AggregateVerify(benchmark::State& state) {
   // Threshold-certificate validation: one XOR-MAC aggregate over the quorum.

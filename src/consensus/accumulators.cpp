@@ -26,8 +26,10 @@ QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
   auto it = std::find_if(pv.buckets.begin(), pv.buckets.end(), [&](const Bucket& b) {
     return b.kind == vote.kind && b.block == vote.block;
   });
-  if (it == pv.buckets.end())
+  if (it == pv.buckets.end()) {
     it = pv.buckets.insert(it, Bucket{vote.kind, vote.block, VoterBits(n), {}, false});
+    it->votes.reserve(cert_threshold(*validators_));  // a bucket stops growing at quorum
+  }
   Bucket& bucket = *it;
   if (bucket.emitted) return nullptr;
   if (bucket.voters.test(vote.voter)) {
@@ -69,7 +71,9 @@ TimeoutAccumulator::Result TimeoutAccumulator::add(const TimeoutMsg& timeout) {
   // conflicting one must not replace it — it is only *counted* (once per
   // (view, sender)) as equivocation evidence.
   Bucket& bucket = by_view_.get(timeout.view, [&] {
-    return Bucket{{}, std::vector<std::uint32_t>(n), VoterBits(n), false, false};
+    Bucket b{{}, std::vector<std::uint32_t>(n), VoterBits(n), false, false};
+    b.timeouts.reserve(validators_->quorum_size());
+    return b;
   });
   if (const std::uint32_t seen = bucket.slot[timeout.sender]) {
     const TimeoutMsg& t = bucket.timeouts[seen - 1];

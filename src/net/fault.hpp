@@ -111,8 +111,7 @@ class LinkChaosFault final : public ILinkFault {
   Prng prng_;
 };
 
-/// Back-compatibility shim for SimNetwork::set_drop_filter: wraps the old
-/// boolean predicate as a chain member.
+/// Drops every copy a boolean predicate selects.
 class PredicateFault final : public ILinkFault {
  public:
   using Predicate = std::function<bool(NodeId from, NodeId to, const Message&)>;

@@ -21,7 +21,8 @@ SimNetwork::SimNetwork(sim::Scheduler& sched, std::size_t n, NetworkConfig cfg,
       prng_(cfg_.seed ^ 0x6e657477u),
       egress_free_(n, TimePoint::zero()),
       ingress_free_(n, TimePoint::zero()),
-      silenced_(n, false) {}
+      silenced_(n, false),
+      lanes_(n + 1, sim::kNoLane) {}
 
 Duration SimNetwork::proc_cost(const Message& m, std::uint64_t wire_size) const {
   Duration c = cfg_.proc_base;
@@ -63,7 +64,7 @@ void SimNetwork::multicast(NodeId from, MessagePtr m) {
 
   // Self-delivery first: immediate and free (local shortcut).
   stats_.messages_sent++;
-  schedule_arrival(sched_.now(), sim::EventTag{}, from, from, m, wire);
+  enqueue(n, sched_.now(), sim::EventTag{}, from, m, wire);
 
   // The NIC serializes the n-1 copies back-to-back. Every copy costs the
   // receivers the same pipeline time, so it is computed once.
@@ -88,7 +89,7 @@ void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
   }
   if (to == from) {
     stats_.messages_sent++;
-    schedule_arrival(sched_.now(), sim::EventTag{}, from, from, m, wire);
+    enqueue(egress_free_.size(), sched_.now(), sim::EventTag{}, from, m, wire);
     return;
   }
   const Duration ser =
@@ -96,18 +97,6 @@ void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
   const TimePoint egress = std::max(sched_.now(), egress_free_[from]) + ser;
   egress_free_[from] = egress;
   send_one(from, to, m, wire, egress, rx_cost(*m, wire));
-}
-
-void SimNetwork::set_drop_filter(DropFilter f) {
-  if (predicate_fault_) {
-    faults_.remove(predicate_fault_);
-    predicate_fault_ = nullptr;
-  }
-  if (f) {
-    auto fault = std::make_shared<PredicateFault>(std::move(f));
-    predicate_fault_ = fault.get();
-    faults_.add(std::move(fault));
-  }
 }
 
 void SimNetwork::send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire,
@@ -187,37 +176,27 @@ void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
 
   // Tagged as a delivery choice point: the model checker (src/mc/) reorders
   // these events freely; normal runs execute them in (time, seq) order.
-  schedule_arrival(done,
-                   sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m->index())),
-                   from, to, m, wire);
+  enqueue(to, done, sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m->index())),
+          from, m, wire);
 }
 
-void SimNetwork::schedule_arrival(TimePoint at, sim::EventTag tag, NodeId from, NodeId to,
-                                  const MessagePtr& m, std::uint64_t wire) {
-  std::uint32_t slot;
-  if (free_slots_.empty()) {
-    slot = static_cast<std::uint32_t>(in_flight_.size());
-    in_flight_.push_back(InFlight{from, to, m, wire});
-  } else {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = InFlight{from, to, m, wire};
-  }
-  sched_.schedule_at(at, tag, [this, slot] { arrive(slot); });
+void SimNetwork::enqueue(std::size_t lane, TimePoint at, sim::EventTag tag, NodeId from,
+                         const MessagePtr& m, std::uint64_t wire) {
+  sim::LaneId& id = lanes_[lane];
+  if (id == sim::kNoLane)
+    id = sched_.open_lane([this, lane](sim::LaneEvent& copy) { receive(lane, copy); });
+  sched_.append(id, sim::LaneEvent{at, 0, tag, from, wire, m});
 }
 
-void SimNetwork::arrive(std::uint32_t slot) {
-  // Take the record out first: delivering may send, reusing or growing the slab.
-  const InFlight copy = std::move(in_flight_[slot]);
-  free_slots_.push_back(slot);
-  if (copy.from != copy.to) {
+void SimNetwork::receive(std::size_t lane, sim::LaneEvent& copy) {
+  const MessagePtr m = std::static_pointer_cast<const Message>(std::move(copy.payload));
+  const NodeId from = copy.aux;
+  const NodeId to = lane == egress_free_.size() ? from : static_cast<NodeId>(lane);
+  if (to != from) {
     stats_.messages_delivered++;
-    if (tracer_) {
-      tracer_->record(copy.to, obs::EventKind::kMsgDelivered, 0, copy.m->index(), copy.wire,
-                      copy.from);
-    }
+    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDelivered, 0, m->index(), copy.word, from);
   }
-  deliver_(copy.to, copy.from, copy.m);
+  deliver_(to, from, m);
 }
 
 void SimNetwork::export_metrics(obs::Registry& reg,

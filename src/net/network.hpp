@@ -8,6 +8,10 @@
 //    that also accounts a per-message processing cost (NIC + CPU treated as
 //    a single receive pipeline). This is what makes O(n²) vote multicasting
 //    and multi-megabyte proposals cost what they cost in the paper's WAN.
+//    Its busy-until watermark completes each receiver's copies at
+//    non-decreasing times in send order, whatever jitter, reorder stress, the
+//    pre-GST adversary or a fault did to their arrival. So each receiver's
+//    copies form one scheduler lane (sim/scheduler.hpp), self-deliveries one more.
 //  * Partial synchrony: before GST an adversary may additionally delay
 //    honest messages, but every message sent before GST is delivered by
 //    GST + Δ (Dwork et al.); after GST only the natural model applies.
@@ -119,11 +123,6 @@ class SimNetwork final : public INetwork {
   FaultChain& faults() { return faults_; }
   const FaultChain& faults() const { return faults_; }
 
-  /// Legacy single drop filter: installs (or, with nullptr, removes) one
-  /// PredicateFault in the chain. Kept for tests that predate the chain.
-  using DropFilter = std::function<bool(NodeId from, NodeId to, const Message&)>;
-  void set_drop_filter(DropFilter f);
-
   /// Optional tap observing every send (multicast counted once), for trace
   /// analysis such as the conformance checker.
   using Tap = std::function<void(NodeId from, const Message&)>;
@@ -142,24 +141,15 @@ class SimNetwork final : public INetwork {
   const NetworkConfig& config() const { return cfg_; }
 
  private:
-  /// One in-flight copy. Its scheduled callback captures only (this, slot),
-  /// which fits std::function's local buffer: a delivery allocates nothing.
-  /// from == to marks a self-delivery, which is neither counted nor traced.
-  struct InFlight {
-    NodeId from = 0;
-    NodeId to = 0;
-    MessagePtr m;
-    std::uint64_t wire = 0;
-  };
-
   void send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
                 TimePoint egress_done, Duration rx);
   void deliver_copy(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
                     TimePoint egress_done, Duration extra_delay, Duration rx);
-  /// Parks a copy in the in-flight slab and schedules its arrival at `at`.
-  void schedule_arrival(TimePoint at, sim::EventTag tag, NodeId from, NodeId to,
-                        const MessagePtr& m, std::uint64_t wire_size);
-  void arrive(std::uint32_t slot);
+  /// Appends a copy due at `at` to lane `lane` (receiver `lane`, or self-
+  /// deliveries at n), opening it on first use; receive() is its handler.
+  void enqueue(std::size_t lane, TimePoint at, sim::EventTag tag, NodeId from,
+               const MessagePtr& m, std::uint64_t wire_size);
+  void receive(std::size_t lane, sim::LaneEvent& copy);
   /// Receive-pipeline time of one copy: NIC serialization + processing.
   Duration rx_cost(const Message& m, std::uint64_t wire_size) const;
   Duration proc_cost(const Message& m, std::uint64_t wire_size) const;
@@ -174,12 +164,10 @@ class SimNetwork final : public INetwork {
   std::vector<TimePoint> ingress_free_;  // per-node receive-pipeline availability
   std::vector<bool> silenced_;
   FaultChain faults_;
-  ILinkFault* predicate_fault_ = nullptr;  // the set_drop_filter() chain entry
   Tap tap_;
   obs::Tracer* tracer_ = nullptr;
   NetworkStats stats_;
-  std::vector<InFlight> in_flight_;         // grows on demand
-  std::vector<std::uint32_t> free_slots_;  // reusable in_flight_ indices
+  std::vector<sim::LaneId> lanes_;  // per receiver, then self; opened lazily
 };
 
 }  // namespace moonshot::net

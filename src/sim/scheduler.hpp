@@ -1,23 +1,30 @@
 // Discrete-event simulation engine.
 //
 // A Scheduler owns the simulated clock and a binary min-heap of 24-byte
-// (time, seq, slot) keys over a free-listed slab of event slots, each holding
-// a callback and its EventTag: sifts move only keys, and freed slots are
-// reused. Equal timestamps run in scheduling order (seq), which — together
-// with seeded PRNGs — makes every run bit-reproducible. A TaskId is (slot
-// generation, slot); the generation is bumped whenever a slot is freed, so
-// cancel() marks only the live event it names (the heap drops marked keys
-// as they surface) and a stale id is a no-op.
+// (time, seq, ref) keys. Equal timestamps run in scheduling order (seq),
+// which — together with seeded PRNGs — makes every run bit-reproducible.
+// A key refers to either
+//  * a slot event: a callback and its EventTag in a free-listed slab. A
+//    TaskId is (slot generation, slot); the generation is bumped whenever a
+//    slot is freed, so cancel() marks only the live event it names (the heap
+//    drops marked keys as they surface) and a stale id is a no-op; or
+//  * a lane: an append-only FIFO of inline LaneEvent records with
+//    non-decreasing times, run by the lane's one handler and never
+//    cancelled. Only its head is keyed; when the head runs, its successor
+//    takes the key in one sift-down (net/network.hpp: a lane per receiver).
 //
 // Events may carry an EventTag classifying them as *choice points* for the
 // model-checking explorer (src/mc/): message deliveries and protocol timers.
 // Normal runs ignore tags entirely; the explorer enumerates the pending
-// frontier() and picks which tagged event runs next via run_task().
+// frontier() (every lane record included) and picks which tagged event runs
+// next via run_task().
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "support/time.hpp"
@@ -25,9 +32,14 @@
 namespace moonshot::sim {
 
 /// Handle for cancelling a scheduled event: the event's slab slot in the low
-/// 32 bits and the slot's generation (never 0) in the high 32, so 0 is never
-/// a valid id and an id outlives its event harmlessly.
+/// 32 bits and the slot's generation (never 0, below 2^31) in the high 32, so
+/// 0 is never a valid id and an id outlives its event harmlessly. frontier()
+/// names a lane record by its seq with the top bit set.
 using TaskId = std::uint64_t;
+
+/// Index of a lane opened with Scheduler::open_lane().
+using LaneId = std::uint32_t;
+inline constexpr LaneId kNoLane = UINT32_MAX;
 
 /// Classification of a scheduled event for systematic exploration. Untagged
 /// (kInternal) events are deterministic bookkeeping the explorer always runs
@@ -52,6 +64,17 @@ struct EventTag {
   static EventTag timer(std::uint32_t node) { return EventTag{Kind::kTimer, node, kNone, 0}; }
 };
 
+/// One lane record. The scheduler reads t, seq and tag; `aux`, `word` and
+/// `payload` belong to the lane's handler.
+struct LaneEvent {
+  TimePoint t;
+  std::uint64_t seq = 0;  // assigned by Scheduler::append()
+  EventTag tag;
+  std::uint32_t aux = 0;
+  std::uint64_t word = 0;
+  std::shared_ptr<const void> payload;
+};
+
 /// A pending (not yet run, not cancelled) event as seen by frontier().
 struct PendingEvent {
   TaskId id = 0;
@@ -63,6 +86,7 @@ struct PendingEvent {
 class Scheduler {
  public:
   using Callback = std::function<void()>;
+  using LaneHandler = std::function<void(LaneEvent&)>;
 
   /// Current simulated time.
   TimePoint now() const { return now_; }
@@ -74,6 +98,16 @@ class Scheduler {
   /// Schedules `cb` after `d` from now.
   TaskId schedule_after(Duration d, Callback cb);
   TaskId schedule_after(Duration d, EventTag tag, Callback cb);
+
+  /// Opens an empty lane whose records `handler` runs.
+  LaneId open_lane(LaneHandler handler) {
+    lanes_.push_back(Lane{{}, 0, std::move(handler)});
+    return static_cast<LaneId>(lanes_.size() - 1);
+  }
+
+  /// Appends `ev` to `lane`, stamping its seq. `ev.t` must be >= now and >=
+  /// the time of the lane's last pending record.
+  void append(LaneId lane, LaneEvent ev);
 
   /// Cancels a pending event. Cancelling an already-run or unknown id is a
   /// harmless no-op (timers race with their own expiry).
@@ -111,7 +145,7 @@ class Scheduler {
   /// number of events run; `max_events` is a runaway guard.
   std::uint64_t run_internal(std::uint64_t max_events = 1 << 20);
 
-  std::size_t pending() const { return heap_.size() - cancelled_; }
+  std::size_t pending() const { return pending_; }
   std::uint64_t events_executed() const { return executed_; }
 
   /// Order-sensitive digest of the execution so far: folds the (time, seq) of
@@ -121,13 +155,17 @@ class Scheduler {
   std::uint64_t fingerprint() const { return fingerprint_; }
 
  private:
+  static constexpr TaskId kLaneRecord = TaskId{1} << 63;
+
   struct Key {
     TimePoint t;
-    std::uint64_t seq;   // tie-breaker: FIFO among equal timestamps
-    std::uint32_t slot;  // index into slots_
+    std::uint64_t seq;      // tie-breaker: FIFO among equal timestamps
+    std::uint32_t slot;     // index into slots_ for a slot event
+    LaneId lane = kNoLane;  // index into lanes_ for a lane head
   };
-  struct Later {
-    bool operator()(const Key& a, const Key& b) const {
+  struct Later {  // over Key and PendingEvent
+    template <class E>
+    bool operator()(const E& a, const E& b) const {
       if (a.t != b.t) return a.t > b.t;
       return a.seq > b.seq;
     }
@@ -140,17 +178,28 @@ class Scheduler {
     std::uint32_t next_free = 0;  // free-list link while kFree
     State state = State::kFree;
   };
+  struct Lane {
+    std::vector<LaneEvent> events;  // [head, size) pending, in (t, seq) order
+    std::size_t head = 0;
+    LaneHandler handler;
+  };
 
   static TaskId make_id(std::uint32_t gen, std::uint32_t slot) {
     return (static_cast<TaskId>(gen) << 32) | slot;
   }
-  /// The slot of a queued, uncancelled event named by `id`, else nullptr.
-  const Slot* live(TaskId id) const;
   /// Returns `slot` to the free list under a new generation.
   void release(std::uint32_t slot);
   /// Pops cancelled keys off the heap top; true if a live event remains.
   bool settle();
+  void sift_down(std::size_t i);
+  /// Advances the clock to `t` (never backwards) and folds (t, seq).
+  void note_run(TimePoint t, std::uint64_t seq);
   void execute(const Key& key);
+  /// Runs record `i` of the lane keyed at heap_[k].
+  void run_lane_record(std::size_t k, std::size_t i);
+  /// Calls fn(event, heap index, lane index) for every pending event.
+  template <class Fn>
+  void for_each_pending(Fn&& fn) const;
 
   // Min-heap by Later via std::push_heap/pop_heap; a plain vector so that
   // frontier() can enumerate and run_task() can extract arbitrary entries.
@@ -158,7 +207,8 @@ class Scheduler {
   std::vector<Slot> slots_;  // grows on demand; freed slots are reused
   static constexpr std::uint32_t kNoSlot = UINT32_MAX;
   std::uint32_t free_head_ = kNoSlot;
-  std::size_t cancelled_ = 0;  // cancelled keys still in heap_
+  std::deque<Lane> lanes_;   // a deque: a running handler may open a lane
+  std::size_t pending_ = 0;  // queued slot events + lane records
   TimePoint now_ = TimePoint::zero();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

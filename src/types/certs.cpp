@@ -43,6 +43,8 @@ QcPtr QuorumCert::assemble(const std::vector<Vote>& votes, Height block_height,
   std::sort(sorted.begin(), sorted.end(),
             [](const Vote* a, const Vote* b) { return a->voter < b->voter; });
 
+  qc->voters.reserve(votes.size());
+  qc->sigs.reserve(votes.size());
   NodeId prev = kNoNode;
   for (const Vote* v : sorted) {
     if (v->kind != qc->kind || v->view != qc->view || v->block != qc->block) return nullptr;
@@ -260,6 +262,7 @@ TcPtr TimeoutCert::assemble(const std::vector<TimeoutMsg>& timeouts,
   std::sort(sorted.begin(), sorted.end(),
             [](const TimeoutMsg* a, const TimeoutMsg* b) { return a->sender < b->sender; });
 
+  tc->entries.reserve(timeouts.size());
   NodeId prev = kNoNode;
   View best = 0;
   for (const TimeoutMsg* t : sorted) {

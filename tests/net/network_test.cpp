@@ -128,9 +128,9 @@ TEST(SimNetwork, DropFilterPartitions) {
                    cap.deliveries.push_back({to, from, sched.now()});
                  });
   // Partition {0,1} | {2,3}.
-  net.set_drop_filter([](NodeId from, NodeId to, const Message&) {
+  net.faults().add(std::make_shared<PredicateFault>([](NodeId from, NodeId to, const Message&) {
     return (from < 2) != (to < 2);
-  });
+  }));
   net.multicast(0, tiny_message(0));
   sched.run_all();
   // Self + node 1 only.
@@ -185,6 +185,78 @@ TEST(SimNetwork, StatsCountMessages) {
   EXPECT_EQ(net.stats().messages_sent, 3u);  // self + 2 peers
   EXPECT_EQ(net.stats().messages_delivered, 2u);  // peers (self not counted)
   EXPECT_GT(net.stats().bytes_sent, 0u);
+}
+
+// Records, for every point-to-point copy, the fate the faults ahead of it in
+// the chain decided: the copies a receiver should get, in send order.
+class CopyLog final : public ILinkFault {
+ public:
+  using Entry = std::pair<NodeId, std::size_t>;  // (from, wire type)
+  explicit CopyLog(std::size_t n) : expected(n) {}
+  void apply(NodeId from, NodeId to, const Message& m, TimePoint, FaultVerdict& v) override {
+    if (v.drop) return;
+    for (int i = 0; i <= v.duplicates; ++i) expected[to].emplace_back(from, m.index());
+  }
+  std::vector<std::vector<Entry>> expected;
+};
+
+TEST(SimNetwork, EachReceiverGetsItsCopiesInSendOrderUnderEveryPerturbation) {
+  // The receive pipeline's busy-until watermark serializes every receiver's
+  // copies: whatever jitter, reorder stress, the pre-GST adversary or a
+  // delay/duplication fault does to a copy's arrival, a receiver processes
+  // its copies in the order they were sent, at non-decreasing times.
+  // Self-deliveries bypass the pipeline and keep their own send order.
+  constexpr std::size_t n = 7;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    sim::Scheduler sched;
+    NetworkConfig cfg;
+    cfg.matrix = LatencyMatrix::aws5();
+    cfg.jitter = 0.3;
+    cfg.reorder_extra = milliseconds(40);
+    cfg.gst = TimePoint::zero() + milliseconds(300);
+    cfg.delta = milliseconds(200);
+    cfg.seed = seed;
+    std::vector<std::vector<CopyLog::Entry>> got(n);
+    std::vector<CopyLog::Entry> self_sent, self_got;
+    std::vector<TimePoint> last(n, TimePoint::zero());
+    Prng prng(seed);
+    int budget = 400;
+    SimNetwork* netp = nullptr;
+    auto send = [&](NodeId from) {
+      if (budget-- <= 0) return;
+      const MessagePtr m =
+          prng.next_u64() % 3 == 0 ? big_message(from, 4000) : tiny_message(from);
+      const bool multicast = prng.next_u64() % 2 == 0;
+      const auto to = static_cast<NodeId>(prng.next_u64() % n);
+      if (multicast || to == from) self_sent.emplace_back(from, m->index());
+      if (multicast) netp->multicast(from, m);
+      else netp->unicast(from, to, m);
+    };
+    SimNetwork net(sched, n, cfg, [&](NodeId to, NodeId from, const MessagePtr& m) {
+      EXPECT_GE(sched.now(), last[to]) << "seed " << seed;
+      last[to] = sched.now();
+      (to == from ? self_got : got[to]).emplace_back(from, m->index());
+      if (prng.next_u64() % 4 != 0) send(to);
+    });
+    netp = &net;
+    auto dup = std::make_shared<LinkChaosFault>(LinkChaosFault::Kind::kDuplicate, 0.2,
+                                                Duration(0), std::vector<Link>{}, seed);
+    auto delay = std::make_shared<LinkChaosFault>(LinkChaosFault::Kind::kDelay, 0.3,
+                                                  milliseconds(25), std::vector<Link>{}, seed);
+    auto drop = std::make_shared<LinkChaosFault>(LinkChaosFault::Kind::kDrop, 0.1,
+                                                 Duration(0), std::vector<Link>{}, seed);
+    auto log = std::make_shared<CopyLog>(n);
+    net.faults().add(dup);
+    net.faults().add(delay);
+    net.faults().add(drop);
+    net.faults().add(log);
+    for (NodeId i = 0; i < n; ++i) send(i);
+    sched.run_all();
+    for (NodeId to = 0; to < n; ++to)
+      EXPECT_EQ(got[to], log->expected[to]) << "receiver " << to << ", seed " << seed;
+    EXPECT_EQ(self_got, self_sent) << "seed " << seed;
+    EXPECT_GT(net.stats().messages_duplicated, 0u);
+  }
 }
 
 }  // namespace

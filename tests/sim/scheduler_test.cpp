@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "support/prng.hpp"
+
 namespace moonshot::sim {
 namespace {
 
@@ -351,6 +353,169 @@ TEST(Scheduler, ChurnRunsLiveEventsOnceInOrder) {
   s.run_all();
   EXPECT_EQ(ran.size(), expected);
   EXPECT_TRUE(std::is_sorted(ran.begin(), ran.end()));
+}
+
+// --- lanes --------------------------------------------------------------------
+
+LaneEvent record(std::int64_t t, EventTag tag = {}, std::uint32_t aux = 0) {
+  LaneEvent e;
+  e.t = TimePoint{t};
+  e.tag = tag;
+  e.aux = aux;
+  return e;
+}
+
+// A seeded world of lane records and cancellable timers whose handlers keep
+// scheduling more of both. With `lanes` off, every lane record becomes an
+// ordinary tagged slot event instead, which must not change a thing.
+struct LaneWorld {
+  static constexpr std::size_t kLanes = 5;
+  explicit LaneWorld(bool lanes, std::uint64_t seed) : use_lanes(lanes), prng(seed) {
+    for (std::size_t i = 0; i < kLanes; ++i)
+      ids.push_back(s.open_lane([this](LaneEvent& e) { ran(e.aux); }));
+  }
+  void add_record(std::size_t lane) {
+    const TimePoint t = std::max(s.now(), tail[lane]) + Duration(prng.next_range(0, 40));
+    tail[lane] = t;
+    const auto label = next_label++;
+    const EventTag tag = EventTag::delivery(static_cast<std::uint32_t>(lane), 0, label % 3);
+    if (use_lanes) s.append(ids[lane], record(t.ns, tag, label));
+    else s.schedule_at(t, tag, [this, label] { ran(label); });
+  }
+  void add_timer() {
+    const auto label = next_label++;
+    timers.push_back(s.schedule_after(Duration(prng.next_range(0, 150)), EventTag::timer(0),
+                                      [this, label] { ran(label); }));
+    if (prng.next_below(4) == 0) s.cancel(timers[prng.next_below(timers.size())]);
+  }
+  void ran(std::uint32_t label) {
+    log.emplace_back(s.now().ns, label);
+    pending_seen.push_back(s.pending());
+    if (budget == 0) return;
+    --budget;
+    for (std::uint64_t k = prng.next_below(3); k > 0; --k) add_record(prng.next_below(kLanes));
+    if (prng.next_below(3) == 0) add_timer();
+  }
+
+  Scheduler s;
+  bool use_lanes;
+  Prng prng;
+  std::vector<LaneId> ids;
+  std::vector<TaskId> timers;
+  TimePoint tail[kLanes] = {};
+  std::uint32_t next_label = 0;
+  int budget = 3000;
+  std::vector<std::pair<std::int64_t, std::uint32_t>> log;
+  std::vector<std::size_t> pending_seen;
+};
+
+TEST(SchedulerLanes, MixRunsLikeTheSameEventsWithoutLanes) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    LaneWorld a(true, seed), b(false, seed);
+    for (LaneWorld* w : {&a, &b}) {
+      for (std::size_t i = 0; i < 200; ++i) {
+        w->add_record(i % LaneWorld::kLanes);
+        if (i % 3 == 0) w->add_timer();
+      }
+    }
+    EXPECT_EQ(a.s.pending(), b.s.pending());
+    EXPECT_EQ(a.s.frontier().size(), a.s.pending());
+    a.s.run_all();
+    b.s.run_all();
+    ASSERT_EQ(a.log, b.log) << "seed " << seed;
+    EXPECT_EQ(a.pending_seen, b.pending_seen);
+    EXPECT_TRUE(std::is_sorted(a.log.begin(), a.log.end(),
+                               [](const auto& x, const auto& y) { return x.first < y.first; }));
+    EXPECT_EQ(a.s.fingerprint(), b.s.fingerprint());
+    EXPECT_EQ(a.s.events_executed(), b.s.events_executed());
+    EXPECT_EQ(a.s.pending(), 0u);
+  }
+}
+
+TEST(SchedulerLanes, OutOfOrderAppendTripsTheInvariant) {
+  Scheduler s;
+  const LaneId lane = s.open_lane([](LaneEvent&) {});
+  s.append(lane, record(10));
+  s.append(lane, record(10));  // equal times are fine
+  EXPECT_DEATH(s.append(lane, record(9)), "lane times must not decrease");
+}
+
+TEST(SchedulerLanes, FrontierListsEveryLaneRecordInOrderWithItsTag) {
+  Scheduler s;
+  const LaneId l0 = s.open_lane([](LaneEvent&) {});
+  const LaneId l1 = s.open_lane([](LaneEvent&) {});
+  s.append(l0, record(10, EventTag::delivery(0, 1, 4)));
+  s.append(l1, record(5, EventTag::delivery(1, 2, 5)));
+  s.append(l0, record(30, EventTag{}));
+  const TaskId timer = s.schedule_at(TimePoint{20}, EventTag::timer(3), [] {});
+  s.append(l1, record(30, EventTag::delivery(1, 0, 6)));
+  const auto f = s.frontier();
+  ASSERT_EQ(f.size(), 5u);
+  EXPECT_EQ(s.pending(), 5u);
+  const std::int64_t times[] = {5, 10, 20, 30, 30};
+  const std::uint64_t seqs[] = {1, 0, 3, 2, 4};
+  const EventTag::Kind kinds[] = {EventTag::Kind::kDelivery, EventTag::Kind::kDelivery,
+                                  EventTag::Kind::kTimer, EventTag::Kind::kInternal,
+                                  EventTag::Kind::kDelivery};
+  const std::uint32_t types[] = {5, 4, 0, 0, 6};
+  for (std::size_t i = 0; i < f.size(); ++i) {
+    EXPECT_EQ(f[i].t.ns, times[i]) << i;
+    EXPECT_EQ(f[i].seq, seqs[i]) << i;
+    EXPECT_EQ(f[i].tag.kind, kinds[i]) << i;
+    EXPECT_EQ(f[i].tag.type, types[i]) << i;
+  }
+  EXPECT_EQ(f[2].id, timer);
+  s.cancel(f[1].id);  // lane records cannot be cancelled
+  EXPECT_EQ(s.frontier().size(), 5u);
+  EXPECT_EQ(s.pending(), 5u);
+}
+
+TEST(SchedulerLanes, RunTaskOnAMidLaneRecordLeavesTheRestInOrder) {
+  Scheduler s;
+  std::vector<std::uint32_t> ran;
+  const LaneId lane = s.open_lane([&](LaneEvent& e) { ran.push_back(e.aux); });
+  for (std::uint32_t i = 0; i < 5; ++i)
+    s.append(lane, record(10 * (i + 1), EventTag::delivery(0, 1, 0), i));
+  s.schedule_at(TimePoint{25}, [&] { ran.push_back(100); });
+  auto f = s.frontier();
+  ASSERT_EQ(f.size(), 6u);
+  const TaskId third = f[3].id;  // t = 30, after the t = 25 slot event
+  ASSERT_EQ(f[3].t.ns, 30);
+  EXPECT_TRUE(s.run_task(third));
+  EXPECT_EQ(s.now().ns, 30);
+  EXPECT_FALSE(s.run_task(third));  // already run
+  EXPECT_EQ(s.pending(), 5u);
+  f = s.frontier();
+  ASSERT_EQ(f.size(), 5u);
+  EXPECT_EQ(f[0].t.ns, 10);
+  EXPECT_EQ(f[2].t.ns, 25);
+  EXPECT_EQ(f[3].t.ns, 40);
+  EXPECT_TRUE(s.run_task(f[0].id));  // the head: its successor takes the key
+  EXPECT_EQ(s.pending(), 4u);
+  // The clock stays at 30; the delayed records still run, in lane order.
+  s.append(lane, record(60, EventTag::delivery(0, 1, 0), 5));
+  EXPECT_EQ(s.pending(), 5u);
+  s.run_all();
+  EXPECT_EQ(ran, (std::vector<std::uint32_t>{2, 0, 1, 100, 3, 4, 5}));
+  EXPECT_EQ(s.pending(), 0u);
+  EXPECT_EQ(s.events_executed(), 7u);
+  EXPECT_TRUE(s.frontier().empty());
+}
+
+TEST(SchedulerLanes, RunInternalDrainsUntaggedLaneRecords) {
+  Scheduler s;
+  int internal = 0;
+  const LaneId lane = s.open_lane([&](LaneEvent& e) {
+    if (e.tag.kind == EventTag::Kind::kInternal) ++internal;
+  });
+  s.append(lane, record(5, EventTag::delivery(0, 1, 0)));
+  s.append(lane, record(7, EventTag{}));
+  s.append(lane, record(9, EventTag{}));
+  EXPECT_EQ(s.run_internal(), 2u);
+  EXPECT_EQ(internal, 2);
+  ASSERT_EQ(s.frontier().size(), 1u);
+  EXPECT_EQ(s.frontier()[0].tag.kind, EventTag::Kind::kDelivery);
+  EXPECT_EQ(s.pending(), 1u);
 }
 
 }  // namespace
