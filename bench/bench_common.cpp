@@ -4,6 +4,7 @@
 
 #include "exec/line_sink.hpp"
 #include "exec/world_runner.hpp"
+#include "support/json.hpp"
 
 namespace moonshot::bench {
 
@@ -29,26 +30,6 @@ const char* mode_name(Options::Mode mode) {
   }
   return "?";
 }
-
-namespace {
-std::string json_escape(const char* s) {
-  std::string out;
-  for (; *s; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
-}  // namespace
 
 JsonReport::JsonReport(std::string bench, const Options& opt)
     : bench_(std::move(bench)), mode_(mode_name(opt.mode)), path_(opt.json_path) {}
@@ -97,7 +78,7 @@ bool JsonReport::write() const {
     return false;
   }
   std::fprintf(f, "{\"bench\": \"%s\", \"mode\": \"%s\", \"rows\": [\n",
-               json_escape(bench_.c_str()).c_str(), mode_.c_str());
+               json_escape(bench_).c_str(), mode_.c_str());
   for (std::size_t i = 0; i < rows_.size(); ++i) {
     std::fprintf(f, "  {%s}%s\n", rows_[i].c_str(), i + 1 < rows_.size() ? "," : "");
   }
@@ -105,21 +86,8 @@ bool JsonReport::write() const {
   if (!registry_.empty()) {
     // One JSON object per metric series, same shape as the registry's JSONL
     // snapshot lines.
-    std::fprintf(f, ",\n\"metrics\": [\n");
-    const std::string snap = registry_.snapshot_jsonl();
-    bool first = true;
-    std::size_t start = 0;
-    while (start < snap.size()) {
-      std::size_t end = snap.find('\n', start);
-      if (end == std::string::npos) end = snap.size();
-      if (end > start) {
-        std::fprintf(f, "%s  %.*s", first ? "" : ",\n",
-                     static_cast<int>(end - start), snap.data() + start);
-        first = false;
-      }
-      start = end + 1;
-    }
-    std::fprintf(f, "\n]");
+    std::fprintf(f, ",\n\"metrics\": [\n%s]",
+                 jsonl_as_array_elements(registry_.snapshot_jsonl(), "  ").c_str());
   }
   std::fprintf(f, "}\n");
   std::fclose(f);

@@ -46,6 +46,15 @@ const char* protocol_cli_tag(ProtocolKind p) {
   return "?";
 }
 
+std::optional<ProtocolKind> parse_protocol_cli_tag(std::string_view tag) {
+  if (tag == "sm" || tag == "simple") return ProtocolKind::kSimpleMoonshot;
+  if (tag == "pm" || tag == "pipelined") return ProtocolKind::kPipelinedMoonshot;
+  if (tag == "cm" || tag == "commit") return ProtocolKind::kCommitMoonshot;
+  if (tag == "j" || tag == "jolteon") return ProtocolKind::kJolteon;
+  if (tag == "hs" || tag == "hotstuff") return ProtocolKind::kHotStuff;
+  return std::nullopt;
+}
+
 const char* schedule_name(ScheduleKind s) {
   switch (s) {
     case ScheduleKind::kRoundRobin: return "round-robin";

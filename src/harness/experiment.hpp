@@ -34,6 +34,9 @@ const char* protocol_name(ProtocolKind p);
 const char* protocol_tag(ProtocolKind p);
 /// Lower-case tags as the CLI tools spell --protocol: sm, pm, cm, j, hs.
 const char* protocol_cli_tag(ProtocolKind p);
+/// Inverse of protocol_cli_tag; also accepts the long names simple,
+/// pipelined, commit, jolteon and hotstuff.
+std::optional<ProtocolKind> parse_protocol_cli_tag(std::string_view tag);
 
 enum class ScheduleKind {
   kRoundRobin,  // plain fair rotation (happy-path runs)

@@ -2,7 +2,8 @@
 
 namespace moonshot {
 
-void MetricsCollector::on_created(const BlockPtr& block, TimePoint when) {
+MetricsCollector::BlockStat& MetricsCollector::sighted(const BlockPtr& block,
+                                                        TimePoint when) {
   auto& stat = blocks_[block->id()];
   if (!stat.has_created) {
     stat.has_created = true;
@@ -11,21 +12,33 @@ void MetricsCollector::on_created(const BlockPtr& block, TimePoint when) {
     stat.height = block->height();
     stat.view = block->view();
   }
+  return stat;
+}
+
+void MetricsCollector::on_created(const BlockPtr& block, TimePoint when) {
+  sighted(block, when);
 }
 
 void MetricsCollector::on_committed(NodeId /*node*/, const BlockPtr& block, TimePoint when) {
-  auto& stat = blocks_[block->id()];
-  if (!stat.has_created) {
-    // Block committed by a node that never saw the creation hook (possible
-    // only if the creator is Byzantine or metrics attached late); treat the
-    // first observation as creation so latency stays well-defined.
-    stat.has_created = true;
-    stat.created = when;
-    stat.payload_bytes = block->payload().wire_size();
-    stat.height = block->height();
-    stat.view = block->view();
+  // A block committed by a node that never saw the creation hook (possible
+  // only if the creator is Byzantine or metrics attached late) takes its
+  // first commit as creation, so latency stays well-defined.
+  sighted(block, when).commits.push_back(when);  // nodes commit a block at most once
+}
+
+std::vector<MetricsCollector::QuorumCommit> MetricsCollector::quorum_commits(
+    std::size_t threshold) const {
+  std::vector<QuorumCommit> out;
+  std::vector<TimePoint> commits;
+  for (const auto& [id, stat] : blocks_) {
+    if (stat.commits.size() < threshold) continue;
+    commits.assign(stat.commits.begin(), stat.commits.end());
+    std::nth_element(commits.begin(),
+                     commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
+                     commits.end());
+    out.push_back({&stat, commits[threshold - 1] - stat.created});
   }
-  stat.commits.push_back(when);  // nodes commit a block at most once
+  return out;
 }
 
 MetricsCollector::Summary MetricsCollector::summarize(std::size_t threshold,
@@ -33,17 +46,12 @@ MetricsCollector::Summary MetricsCollector::summarize(std::size_t threshold,
   Summary s;
   std::vector<double> latencies;
   std::vector<std::pair<Height, TimePoint>> created_at;  // threshold-committed
-  for (const auto& [id, stat] : blocks_) {
-    if (stat.commits.size() < threshold) continue;
-    auto commits = stat.commits;
-    std::nth_element(commits.begin(), commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
-                     commits.end());
-    const TimePoint kth = commits[threshold - 1];
+  for (const QuorumCommit& q : quorum_commits(threshold)) {
     s.committed_blocks++;
-    s.committed_payload_bytes += stat.payload_bytes;
-    s.max_committed_height = std::max(s.max_committed_height, stat.height);
-    latencies.push_back(to_ms(kth - stat.created));
-    created_at.emplace_back(stat.height, stat.created);
+    s.committed_payload_bytes += q.stat->payload_bytes;
+    s.max_committed_height = std::max(s.max_committed_height, q.stat->height);
+    latencies.push_back(to_ms(q.latency));
+    created_at.emplace_back(q.stat->height, q.stat->created);
   }
 
   // Block period ω: gaps between creation times of consecutive committed
@@ -80,28 +88,15 @@ MetricsCollector::Summary MetricsCollector::summarize(std::size_t threshold,
 std::vector<Duration> MetricsCollector::commit_latencies(
     std::size_t threshold) const {
   std::vector<Duration> out;
-  for (const auto& [id, stat] : blocks_) {
-    if (stat.commits.size() < threshold) continue;
-    auto commits = stat.commits;
-    std::nth_element(commits.begin(),
-                     commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
-                     commits.end());
-    out.push_back(commits[threshold - 1] - stat.created);
-  }
+  for (const QuorumCommit& q : quorum_commits(threshold)) out.push_back(q.latency);
   return out;
 }
 
 std::vector<std::pair<View, Duration>> MetricsCollector::per_view_latencies(
     std::size_t threshold) const {
   std::vector<std::pair<View, Duration>> out;
-  for (const auto& [id, stat] : blocks_) {
-    if (stat.commits.size() < threshold) continue;
-    auto commits = stat.commits;
-    std::nth_element(commits.begin(),
-                     commits.begin() + static_cast<std::ptrdiff_t>(threshold - 1),
-                     commits.end());
-    out.emplace_back(stat.view, commits[threshold - 1] - stat.created);
-  }
+  for (const QuorumCommit& q : quorum_commits(threshold))
+    out.emplace_back(q.stat->view, q.latency);
   return out;
 }
 

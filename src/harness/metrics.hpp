@@ -65,6 +65,21 @@ class MetricsCollector {
     std::vector<TimePoint> commits;  // one entry per distinct committing node
   };
 
+  /// A block committed by at least the threshold, with its creation →
+  /// threshold-th-commit latency.
+  struct QuorumCommit {
+    const BlockStat* stat;
+    Duration latency;
+  };
+
+  /// The stat entry for `block`, recording `when` as its creation if this is
+  /// the first sighting.
+  BlockStat& sighted(const BlockPtr& block, TimePoint when);
+
+  /// The one selection pass behind summarize, commit_latencies and
+  /// per_view_latencies, in blocks_ iteration order.
+  std::vector<QuorumCommit> quorum_commits(std::size_t threshold) const;
+
   std::unordered_map<BlockId, BlockStat> blocks_;
 };
 

@@ -451,6 +451,18 @@ CritPathReport analyze_critical_path(const std::vector<Event>& merged,
     }
     report.blocks.push_back(std::move(path));
   }
+
+  bool have_prev = false;
+  View prev_view = 0;
+  TimePoint prev_proposed{};
+  for (const auto& [view, g] : ix.views) {
+    if (!g.has_proposed) continue;
+    if (have_prev && view == prev_view + 1)
+      report.period.record(g.proposed - prev_proposed);
+    have_prev = true;
+    prev_view = view;
+    prev_proposed = g.proposed;
+  }
   return report;
 }
 
@@ -458,10 +470,10 @@ LatencyBound paper_bound(const std::string& protocol_tag) {
   std::string tag;
   for (char c : protocol_tag)
     tag += static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
-  if (tag == "cm") return {2.0, 1.0};
-  if (tag == "j" || tag == "jolteon") return {5.0, 0.0};
-  if (tag == "hs" || tag == "hotstuff") return {7.0, 0.0};
-  return {3.0, 0.0};  // sm, pm, default
+  if (tag == "cm") return {2.0, 1.0, 1.0};
+  if (tag == "j" || tag == "jolteon") return {5.0, 0.0, 2.0};
+  if (tag == "hs" || tag == "hotstuff") return {7.0, 0.0, 2.0};
+  return {3.0, 0.0, 1.0};  // sm, pm, default
 }
 
 std::vector<BoundViolation> check_bounds(const CritPathReport& report,
@@ -488,7 +500,7 @@ std::vector<BoundViolation> check_bounds(const CritPathReport& report,
 }
 
 void print_critpath(const CritPathReport& report, Duration delta,
-                    std::FILE* out) {
+                    const LatencyBound& paper, std::FILE* out) {
   std::size_t complete = 0;
   for (const BlockPath& p : report.blocks)
     if (p.complete) complete++;
@@ -567,14 +579,21 @@ void print_critpath(const CritPathReport& report, Duration delta,
                  to_ms(slowest->duration()),
                  static_cast<unsigned long long>(slowest->view));
   }
-  if (report.latency.count() > 0) {
-    std::fprintf(out, "  commit latency: mean %.3fms  p50 %.3fms  p99 %.3fms",
-                 report.latency.mean_ms(), report.latency.percentile_ms(0.5),
-                 report.latency.percentile_ms(0.99));
-    if (delta.count() > 0)
-      std::fprintf(out, "  = %.2fd mean", report.latency.mean_ms() / to_ms(delta));
+  const auto summary_row = [&](const char* label, const Histogram& h,
+                               double delta_mult, double omega_mult) {
+    if (h.count() == 0) return;
+    std::fprintf(out, "  %s mean %.3fms  p50 %.3fms  p99 %.3fms", label,
+                 h.mean_ms(), h.percentile_ms(0.5), h.percentile_ms(0.99));
+    if (delta.count() > 0) {
+      std::fprintf(out, "  = %.2fd mean (paper: %gd", h.mean_ms() / to_ms(delta),
+                   delta_mult);
+      if (omega_mult > 0.0) std::fprintf(out, "+%gw", omega_mult);
+      std::fputc(')', out);
+    }
     std::fputc('\n', out);
-  }
+  };
+  summary_row("commit latency:", report.latency, paper.delta_mult, paper.omega_mult);
+  summary_row("block period:  ", report.period, paper.period_mult, 0.0);
 }
 
 void print_bound_check(const std::vector<BoundViolation>& violations,

@@ -27,6 +27,9 @@
 // cδ·δ + cω·ω form (3δ for the Moonshots/pipelined two-chain, 2δ+ω for
 // Commit Moonshot, 5δ Jolteon, 7δ chained HotStuff) with a configurable
 // tolerance for modelled processing costs.
+//
+// The report also carries the block period ω: the gaps between adjacent
+// views' earliest proposal multicasts (≈ 1δ with optimistic proposals, §IV).
 #pragma once
 
 #include <cstdint>
@@ -84,6 +87,9 @@ struct CritPathReport {
   std::vector<BlockPath> blocks;  // committed blocks, view order
   Histogram by_kind[kSegmentKindCount];  // nonzero segment durations
   Histogram latency;                     // λ of complete paths
+  /// ω samples: gaps between adjacent views' earliest proposal multicasts.
+  /// Only adjacent views contribute, so timeout gaps don't skew it.
+  Histogram period;
 };
 
 /// Runs the backward walk over merged() output for every block the observer
@@ -91,10 +97,12 @@ struct CritPathReport {
 CritPathReport analyze_critical_path(const std::vector<Event>& merged,
                                      std::size_t nodes, NodeId observer = 0);
 
-/// Paper latency bound λ ≤ cδ·δ + cω·ω.
+/// Paper latency bound λ ≤ cδ·δ + cω·ω, plus the paper's block period ω in
+/// δ (Table I).
 struct LatencyBound {
   double delta_mult = 3.0;
   double omega_mult = 0.0;
+  double period_mult = 1.0;
 };
 
 /// Bound for a protocol tag ("sm", "pm", "cm", "j"/"jolteon",
@@ -117,10 +125,10 @@ std::vector<BoundViolation> check_bounds(const CritPathReport& report,
                                          double tolerance = 0.05,
                                          Duration slack = milliseconds(1));
 
-/// Per-block breakdown table plus per-kind aggregates; δ > 0 adds
-/// δ-multiples.
+/// Per-block breakdown table, per-kind aggregates and the λ and ω rows; δ > 0
+/// adds δ-multiples next to the paper's targets from `paper`.
 void print_critpath(const CritPathReport& report, Duration delta,
-                    std::FILE* out);
+                    const LatencyBound& paper, std::FILE* out);
 
 /// One line per violation (empty list prints a "0 violations" summary).
 void print_bound_check(const std::vector<BoundViolation>& violations,

@@ -8,52 +8,9 @@
 #include "obs/export.hpp"
 #include "obs/registry.hpp"
 #include "obs/span.hpp"
+#include "support/json.hpp"
 
 namespace moonshot::obs {
-
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '\\': out += "\\\\"; break;
-      case '"': out += "\\\""; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-// Emits `jsonl` (one object per line) as comma-separated array elements.
-void write_lines_as_array(std::FILE* f, const std::string& jsonl) {
-  bool first = true;
-  std::size_t start = 0;
-  while (start < jsonl.size()) {
-    std::size_t end = jsonl.find('\n', start);
-    if (end == std::string::npos) end = jsonl.size();
-    if (end > start) {
-      if (!first) std::fputs(",\n", f);
-      first = false;
-      std::fputs("    ", f);
-      std::fwrite(jsonl.data() + start, 1, end - start, f);
-    }
-    start = end + 1;
-  }
-  if (!first) std::fputc('\n', f);
-}
-
-}  // namespace
 
 bool write_flight_recording(const std::string& path, const FlightContext& ctx,
                             const Tracer* tracer, const Registry* registry,
@@ -62,26 +19,27 @@ bool write_flight_recording(const std::string& path, const FlightContext& ctx,
   if (f == nullptr) return false;
 
   std::fprintf(f, "{\n  \"format\": \"moonshot-flight-v1\",\n");
-  std::fprintf(f, "  \"reason\": \"%s\",\n", escape(ctx.reason).c_str());
-  std::fprintf(f, "  \"protocol\": \"%s\",\n", escape(ctx.protocol).c_str());
+  std::fprintf(f, "  \"reason\": \"%s\",\n", json_escape(ctx.reason).c_str());
+  std::fprintf(f, "  \"protocol\": \"%s\",\n", json_escape(ctx.protocol).c_str());
   std::fprintf(f, "  \"seed\": %llu,\n",
                static_cast<unsigned long long>(ctx.seed));
   std::fprintf(f, "  \"n\": %zu,\n", ctx.nodes);
   std::fprintf(f, "  \"delta_ms\": %g,\n", ctx.delta_ms);
   std::fprintf(f, "  \"trigger_t\": %lld,\n",
                static_cast<long long>(ctx.trigger.ns));
-  std::fprintf(f, "  \"schedule\": \"%s\",\n", escape(ctx.schedule).c_str());
-  std::fprintf(f, "  \"repro\": \"%s\",\n", escape(ctx.repro).c_str());
+  std::fprintf(f, "  \"schedule\": \"%s\",\n", json_escape(ctx.schedule).c_str());
+  std::fprintf(f, "  \"repro\": \"%s\",\n", json_escape(ctx.repro).c_str());
 
   std::fputs("  \"violations\": [", f);
   for (std::size_t i = 0; i < ctx.violations.size(); ++i) {
     std::fprintf(f, "%s\n    \"%s\"", i == 0 ? "" : ",",
-                 escape(ctx.violations[i]).c_str());
+                 json_escape(ctx.violations[i]).c_str());
   }
   std::fputs(ctx.violations.empty() ? "],\n" : "\n  ],\n", f);
 
   std::fputs("  \"metrics\": [\n", f);
-  if (registry != nullptr) write_lines_as_array(f, registry->snapshot_jsonl());
+  if (registry != nullptr)
+    std::fputs(jsonl_as_array_elements(registry->snapshot_jsonl(), "    ").c_str(), f);
   std::fputs("  ],\n", f);
 
   std::vector<Event> merged;
@@ -150,7 +108,7 @@ bool write_flight_recording(const std::string& path, const FlightContext& ctx,
     const std::vector<Event> tail(merged.begin() +
                                       static_cast<std::ptrdiff_t>(begin),
                                   merged.end());
-    write_lines_as_array(f, to_jsonl(tail));
+    std::fputs(jsonl_as_array_elements(to_jsonl(tail), "    ").c_str(), f);
   }
   std::fputs("  ]\n}\n", f);
   const bool ok = std::ferror(f) == 0;

@@ -6,12 +6,14 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "support/json.hpp"
+
 namespace moonshot::obs {
 namespace {
 
-// Escapes for Prometheus label values and (identically) JSON strings:
-// backslash, double quote, newline.
-std::string escape(const std::string& s) {
+// Prometheus text-format label value escaping: backslash, double quote and
+// newline only (JSON snapshots use json_escape instead).
+std::string prometheus_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size());
   for (char c : s) {
@@ -46,11 +48,11 @@ std::string label_block(const MetricLabels& labels,
   for (const auto& [k, v] : labels) {
     if (!first) out += ',';
     first = false;
-    out += k + "=\"" + escape(v) + "\"";
+    out += k + "=\"" + prometheus_escape(v) + "\"";
   }
   if (extra_key != nullptr) {
     if (!first) out += ',';
-    out += std::string(extra_key) + "=\"" + escape(extra_value) + "\"";
+    out += std::string(extra_key) + "=\"" + prometheus_escape(extra_value) + "\"";
   }
   out += '}';
   return out;
@@ -62,7 +64,7 @@ std::string labels_json(const MetricLabels& labels) {
   for (const auto& [k, v] : labels) {
     if (!first) out += ',';
     first = false;
-    out += "\"" + escape(k) + "\":\"" + escape(v) + "\"";
+    out += "\"" + json_escape(k) + "\":\"" + json_escape(v) + "\"";
   }
   out += '}';
   return out;

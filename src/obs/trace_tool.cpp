@@ -1,6 +1,6 @@
 // trace_tool — trace a seeded simulation and export / analyse the result.
 //
-//   trace_tool                               traced PM happy path, decomposition
+//   trace_tool                               traced PM happy path, critical path
 //   trace_tool --protocol j --seed 7         other protocols / seeds
 //   trace_tool --schedule "crash(200-1500;n=0)"
 //                                            replay a chaos reproducer, traced
@@ -10,18 +10,18 @@
 //   trace_tool --timeline                    per-view timeline with span lanes
 //   trace_tool --prom out.prom               Prometheus text exposition
 //   trace_tool --metrics-jsonl out.jsonl     periodic registry snapshots
+//   trace_tool --dot g.dot                   causal span graph (Graphviz)
+//   trace_tool --check-bounds [--tolerance F]
+//                                            compare each block's λ against
+//                                            the paper's cδ·δ + cω·ω bound;
+//                                            exit non-zero on violations
+//   trace_tool flight <file>                 render a flight recording written
+//                                            by chaos_fuzz/mc_explore --flight
 //
-// Subcommands (before any flags):
-//   trace_tool critpath [run flags] [--dot g.dot] [--check-bounds]
-//       per-block critical-path attribution of commit latency; --check-bounds
-//       compares each block's λ against the paper's cδ·δ + cω·ω bound and
-//       exits non-zero on violations; --dot writes the causal span graph.
-//   trace_tool flight <file>
-//       render a flight recording written by chaos_fuzz/mc_explore --flight.
-//
-// The latency decomposition is always printed: per committed block, the
-// proposal→vote→cert→commit segments and the block period, each as a
-// δ-multiple next to the paper's targets (ω = δ, λ = 3δ).
+// The critical-path report is always printed: per committed block, the
+// segments its commit latency λ telescopes into, per-segment aggregates, and
+// λ and the block period ω as δ-multiples next to the paper's targets
+// (ω = δ, λ = 3δ for the Moonshots).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -32,7 +32,6 @@
 #include "chaos/schedule.hpp"
 #include "harness/experiment.hpp"
 #include "obs/critpath.hpp"
-#include "obs/decompose.hpp"
 #include "obs/export.hpp"
 #include "obs/flight.hpp"
 #include "obs/registry.hpp"
@@ -54,7 +53,7 @@ struct Options {
   std::size_t ring_capacity = 1 << 16;
   /// > 0: replace the WAN model with a jitter-free uniform matrix of this
   /// one-way latency — the paper's fixed-δ setting, where ω = δ and λ = 3δ
-  /// are exact. The decomposition is then printed against this δ.
+  /// are exact. The report is then printed against this δ.
   std::int64_t fixed_delay_ms = 0;
   std::string schedule;
   std::string chrome_path;
@@ -62,8 +61,8 @@ struct Options {
   std::string prom_path;
   /// Periodic registry snapshots (~20 over the run) as JSONL time series.
   std::string metrics_jsonl_path;
-  std::string dot_path;      // critpath only: span-graph DOT export
-  bool check_bounds = false;  // critpath only: verify the paper bound
+  std::string dot_path;       // span-graph DOT export
+  bool check_bounds = false;  // verify the paper bound
   double tolerance = 0.05;    // multiplicative allowance for proc costs
   bool timeline = false;
   /// Attach a per-node WAL so wal_append/wal_fsync/wal_replay events appear
@@ -77,7 +76,7 @@ struct Options {
 [[noreturn]] void usage_error(const char* what) {
   std::fprintf(stderr, "trace_tool: %s\n", what);
   std::fprintf(stderr,
-               "usage: trace_tool [critpath|flight FILE] [--protocol sm|pm|cm|j|hs]\n"
+               "usage: trace_tool [flight FILE] [--protocol sm|pm|cm|j|hs]\n"
                "                  [--seed N] [--n N]\n"
                "                  [--duration-ms N] [--delta-ms N] [--payload BYTES]\n"
                "                  [--fixed-delay-ms N] [--schedule STR] [--observer N]\n"
@@ -85,18 +84,8 @@ struct Options {
                "                  [--prom PATH] [--metrics-jsonl PATH]\n"
                "                  [--timeline] [--wal] [--fsync-us N]\n"
                "                  [--recovery in-memory|amnesia|durable]\n"
-               "       critpath extras: [--dot PATH] [--check-bounds] [--tolerance F]\n");
+               "                  [--dot PATH] [--check-bounds] [--tolerance F]\n");
   std::exit(2);
-}
-
-bool parse_protocol(const std::string& tag, ProtocolKind& out) {
-  if (tag == "sm") out = ProtocolKind::kSimpleMoonshot;
-  else if (tag == "pm") out = ProtocolKind::kPipelinedMoonshot;
-  else if (tag == "cm") out = ProtocolKind::kCommitMoonshot;
-  else if (tag == "j") out = ProtocolKind::kJolteon;
-  else if (tag == "hs") out = ProtocolKind::kHotStuff;
-  else return false;
-  return true;
 }
 
 Options parse_args(int argc, char** argv) {
@@ -108,7 +97,9 @@ Options parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--protocol") {
-      if (!parse_protocol(value(), opt.protocol)) usage_error("unknown protocol tag");
+      const auto p = parse_protocol_cli_tag(value());
+      if (!p) usage_error("unknown protocol tag");
+      opt.protocol = *p;
     } else if (arg == "--seed") {
       opt.seed = std::strtoull(value().c_str(), nullptr, 10);
     } else if (arg == "--n") {
@@ -161,27 +152,21 @@ Options parse_args(int argc, char** argv) {
   return opt;
 }
 
-void write_file(const std::string& path, void (*writer)(const std::vector<obs::Event>&,
-                                                        std::size_t, std::FILE*),
-                const std::vector<obs::Event>& events, std::size_t nodes) {
+template <typename Writer>
+void write_file(const std::string& path, const Writer& writer) {
+  if (path.empty()) return;
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (!f) usage_error(("cannot open " + path).c_str());
-  writer(events, nodes, f);
+  writer(f);
   std::fclose(f);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool critpath_mode = false;
   if (argc > 1 && std::strcmp(argv[1], "flight") == 0) {
     if (argc != 3) usage_error("flight takes exactly one recording file");
     return obs::print_flight_recording(argv[2], stdout) ? 0 : 1;
-  }
-  if (argc > 1 && std::strcmp(argv[1], "critpath") == 0) {
-    critpath_mode = true;
-    --argc;
-    ++argv;
   }
   const Options opt = parse_args(argc, argv);
 
@@ -235,30 +220,16 @@ int main(int argc, char** argv) {
 
   const std::vector<obs::Event> merged = tracer.merged();
 
-  if (!opt.jsonl_path.empty()) {
-    std::FILE* f = std::fopen(opt.jsonl_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.jsonl_path).c_str());
-    obs::write_jsonl(merged, f);
-    std::fclose(f);
-  }
-  if (!opt.chrome_path.empty()) {
-    write_file(opt.chrome_path, &obs::write_chrome_trace, merged, opt.n);
-  }
-  if (!opt.prom_path.empty()) {
+  write_file(opt.jsonl_path, [&](std::FILE* f) { obs::write_jsonl(merged, f); });
+  write_file(opt.chrome_path,
+             [&](std::FILE* f) { obs::write_chrome_trace(merged, opt.n, f); });
+  write_file(opt.prom_path, [&](std::FILE* f) {
     obs::Registry reg;
     exp.export_metrics(reg);
-    std::FILE* f = std::fopen(opt.prom_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.prom_path).c_str());
-    const std::string text = reg.prometheus_text();
-    std::fwrite(text.data(), 1, text.size(), f);
-    std::fclose(f);
-  }
-  if (!opt.metrics_jsonl_path.empty()) {
-    std::FILE* f = std::fopen(opt.metrics_jsonl_path.c_str(), "w");
-    if (!f) usage_error(("cannot open " + opt.metrics_jsonl_path).c_str());
-    std::fwrite(ts_lines.data(), 1, ts_lines.size(), f);
-    std::fclose(f);
-  }
+    std::fputs(reg.prometheus_text().c_str(), f);
+  });
+  write_file(opt.metrics_jsonl_path,
+             [&](std::FILE* f) { std::fputs(ts_lines.c_str(), f); });
   if (opt.timeline) {
     obs::print_timeline(merged, opt.n, stdout);
   }
@@ -297,32 +268,18 @@ int main(int argc, char** argv) {
   const Duration delta =
       milliseconds(opt.fixed_delay_ms > 0 ? opt.fixed_delay_ms : opt.delta_ms);
 
-  if (critpath_mode) {
-    const obs::CritPathReport report = obs::analyze_critical_path(
-        merged, opt.n, static_cast<NodeId>(opt.observer));
-    obs::print_critpath(report, delta, stdout);
-    if (!opt.dot_path.empty()) {
-      const obs::SpanGraph g = obs::build_span_graph(merged, opt.n);
-      std::FILE* f = std::fopen(opt.dot_path.c_str(), "w");
-      if (!f) usage_error(("cannot open " + opt.dot_path).c_str());
-      obs::write_span_dot(g, f);
-      std::fclose(f);
-    }
-    if (opt.check_bounds) {
-      // In the fixed-δ setting the optimistic-handoff delay ω equals δ.
-      const obs::LatencyBound bound =
-          obs::paper_bound(protocol_cli_tag(opt.protocol));
-      const auto violations =
-          obs::check_bounds(report, bound, delta, delta, opt.tolerance);
-      obs::print_bound_check(violations, bound, delta, delta,
-                             report.blocks.size(), stdout);
-      return violations.empty() ? 0 : 1;
-    }
-    return 0;
-  }
-
-  const obs::Decomposition d =
-      obs::decompose(merged, static_cast<NodeId>(opt.observer));
-  obs::print_decomposition(d, delta, stdout);
-  return 0;
+  const obs::LatencyBound bound = obs::paper_bound(protocol_cli_tag(opt.protocol));
+  const obs::CritPathReport report = obs::analyze_critical_path(
+      merged, opt.n, static_cast<NodeId>(opt.observer));
+  obs::print_critpath(report, delta, bound, stdout);
+  write_file(opt.dot_path, [&](std::FILE* f) {
+    obs::write_span_dot(obs::build_span_graph(merged, opt.n), f);
+  });
+  if (!opt.check_bounds) return 0;
+  // In the fixed-δ setting the optimistic-handoff delay ω equals δ.
+  const auto violations =
+      obs::check_bounds(report, bound, delta, delta, opt.tolerance);
+  obs::print_bound_check(violations, bound, delta, delta, report.blocks.size(),
+                         stdout);
+  return violations.empty() ? 0 : 1;
 }

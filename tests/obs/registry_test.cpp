@@ -139,6 +139,19 @@ TEST(Registry, SnapshotJsonlCoversEveryTypeWithOneObjectPerLine) {
   EXPECT_NE(snap.find("\"count\":1,\"sum\":3000000"), std::string::npos);
 }
 
+TEST(Registry, SnapshotJsonlEscapesControlBytesInLabels) {
+  obs::Registry reg;
+  reg.counter("c", "h", {{"k", "a\tb\rc\x01" "d"}}).inc();
+  const std::string snap = reg.snapshot_jsonl();
+  EXPECT_NE(snap.find("\"k\":\"a\\tb\\u000dc\\u0001d\""), std::string::npos)
+      << snap;
+  // Only the line terminator may be a raw control byte.
+  for (std::size_t i = 0; i + 1 < snap.size(); ++i) {
+    EXPECT_GE(static_cast<unsigned char>(snap[i]), 0x20u) << "at " << i;
+  }
+  EXPECT_EQ(snap.back(), '\n');
+}
+
 TEST(Registry, PrometheusEscapesLabelValues) {
   obs::Registry reg;
   reg.counter("c", "h", {{"path", "a\"b\\c\nd"}}).inc();

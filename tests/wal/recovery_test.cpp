@@ -19,7 +19,7 @@
 #include "chaos/schedule.hpp"
 #include "consensus/accumulators.hpp"
 #include "harness/experiment.hpp"
-#include "obs/decompose.hpp"
+#include "obs/critpath.hpp"
 #include "obs/trace.hpp"
 
 namespace moonshot {
@@ -272,9 +272,9 @@ TEST(CrashHeavyFuzz, HundredSeedsZeroSafetyViolations) {
 // --- the durability tax stays within the paper's constants -------------------
 
 TEST(WalHappyPath, OmegaAndLambdaHoldWithDurability) {
-  // PR 2's headline decomposition, now with persist-before-send enabled and
-  // a non-zero modelled fsync (100µs against δ = 100ms): ω ≈ δ and λ ≈ 3δ
-  // must hold within the same tolerances.
+  // The paper's headline constants with persist-before-send enabled and a
+  // non-zero modelled fsync (100µs against δ = 100ms): ω ≈ δ and λ ≈ 3δ
+  // must hold within the same tolerances as without a WAL.
   constexpr auto kDelta = milliseconds(100);
   obs::Tracer tracer(4);
 
@@ -301,11 +301,12 @@ TEST(WalHappyPath, OmegaAndLambdaHoldWithDurability) {
   ASSERT_TRUE(r.logs_consistent);
   ASSERT_GT(r.summary.committed_blocks, 20u);
 
-  const auto d = obs::decompose(tracer.merged(), /*observer=*/0);
-  ASSERT_GT(d.blocks.size(), 20u);
+  const auto report =
+      obs::analyze_critical_path(tracer.merged(), cfg.n, /*observer=*/0);
+  ASSERT_GT(report.blocks.size(), 20u);
   const double delta_ms = to_ms(kDelta);
-  EXPECT_NEAR(d.period.mean_ms() / delta_ms, 1.0, 0.15);   // ω ≈ 1δ
-  EXPECT_NEAR(d.latency.mean_ms() / delta_ms, 3.0, 0.30);  // λ ≈ 3δ
+  EXPECT_NEAR(report.period.mean_ms() / delta_ms, 1.0, 0.15);   // ω ≈ 1δ
+  EXPECT_NEAR(report.latency.mean_ms() / delta_ms, 3.0, 0.30);  // λ ≈ 3δ
 }
 
 }  // namespace
