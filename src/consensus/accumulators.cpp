@@ -27,7 +27,7 @@ QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
     return b.kind == vote.kind && b.block == vote.block;
   });
   if (it == pv.buckets.end()) {
-    it = pv.buckets.insert(it, Bucket{vote.kind, vote.block, VoterBits(n), {}, false});
+    it = pv.buckets.insert(it, Bucket{vote.kind, vote.block, VoterBits(n), {}, 0, false});
     it->votes.reserve(cert_threshold(*validators_));  // a bucket stops growing at quorum
   }
   Bucket& bucket = *it;
@@ -45,10 +45,15 @@ QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
   else if (first != index) ++equivocations_seen_;
   bucket.voters.set(vote.voter);
   bucket.votes.push_back(vote);
+  ++bucket.count;
 
-  if (bucket.votes.size() >= cert_threshold(*validators_)) {
+  if (bucket.count >= cert_threshold(*validators_)) {
     bucket.emitted = true;
-    return QuorumCert::assemble(bucket.votes, block_height, *validators_, aggregate_);
+    QcPtr qc = QuorumCert::assemble(bucket.votes, block_height, *validators_, aggregate_);
+    // The certificate carries the votes now: free them, keep the count.
+    // Move-assign, since `votes = {}` would keep the capacity.
+    bucket.votes = std::vector<Vote>();
+    return qc;
   }
   return nullptr;
 }
@@ -57,7 +62,7 @@ std::size_t VoteAccumulator::count(View view, VoteKind kind, const BlockId& bloc
   const PerView* pv = by_view_.find(view);
   if (!pv) return 0;
   for (const Bucket& b : pv->buckets)
-    if (b.kind == kind && b.block == block) return b.votes.size();
+    if (b.kind == kind && b.block == block) return b.count;
   return 0;
 }
 

@@ -10,9 +10,12 @@
 // (expensive) signature path, so replayed traffic costs a bit test rather
 // than a curve operation.
 //
-// State is flat: a node holds only a few live views, each in a vector sorted
-// by view, and per-view voter state is indexed by validator id (bitsets and
-// small arrays) rather than kept in node-based maps.
+// State is flat: a node holds only the few views it has not pruned yet, each
+// in a vector sorted by view, and per-view voter state is indexed by
+// validator id (bitsets and small arrays) rather than kept in node-based
+// maps. A vote bucket lets go of its votes once it has assembled the
+// certificate: the emitted certificate carries them, and what stays until the
+// view is pruned is the dedupe bitset and the count.
 #pragma once
 
 #include <algorithm>
@@ -80,7 +83,8 @@ class VoteAccumulator {
   /// known to the caller (metadata stored in the certificate), 0 otherwise.
   QcPtr add(const Vote& vote, Height block_height);
 
-  /// Number of distinct voters collected for a key (testing/diagnostics).
+  /// Number of distinct voters collected for a key (testing/diagnostics);
+  /// after emission this stays the quorum it reached.
   std::size_t count(View view, VoteKind kind, const BlockId& block) const;
 
   /// Number of equivocations observed: votes whose (view, kind, voter) was
@@ -103,7 +107,8 @@ class VoteAccumulator {
     VoteKind kind;
     BlockId block;
     VoterBits voters;         // dedupe
-    std::vector<Vote> votes;  // distinct voters, in arrival order
+    std::vector<Vote> votes;  // distinct voters, in arrival order; freed at quorum
+    std::size_t count = 0;    // distinct voters counted, kept after the release
     bool emitted = false;
   };
   struct PerView {

@@ -123,7 +123,7 @@ BlockPtr BaseNode::create_block(View view, const BlockPtr& parent) {
 
 void BaseNode::record_qc_and_try_commit(const QcPtr& qc) {
   MOONSHOT_INVARIANT(qc != nullptr, "null certificate");
-  const auto [recorded, inserted] = qc_table_.insert(qc);
+  const auto [recorded, inserted] = qc_table_.insert(qc->view, qc->block);
   if (inserted) {
     trace(obs::EventKind::kQcFormed, qc->view, obs::id_prefix(qc->block),
           static_cast<std::uint64_t>(qc->kind));
@@ -132,11 +132,11 @@ void BaseNode::record_qc_and_try_commit(const QcPtr& qc) {
     if (ctx_.wal && !wal_restoring_) ctx_.wal->append_qc(*qc);
   }
   if (!inserted) {
-    if (recorded->block != qc->block) {
+    if (recorded != qc->block) {
       // Two certified blocks in one view implies > f Byzantine voters.
       LOG_ERROR("node %u: conflicting certificates for view %llu (%s vs %s)", ctx_.id,
                 static_cast<unsigned long long>(qc->view),
-                short_hex(recorded->block.view()).c_str(),
+                short_hex(recorded.view()).c_str(),
                 short_hex(qc->block.view()).c_str());
     }
     return;
@@ -155,21 +155,22 @@ void BaseNode::try_commit_chain_ending_at(View newest_view) {
   View length = static_cast<View>(commit_chain_length_);
   if (mutation_on(Mutation::kCommitOnOneChain)) length = 1;
   if (newest_view < length) return;  // the chain would dip below view 1
-  // Walk from the newest certificate down, checking adjacency and links.
-  QcPtr cur = qc_for_view(newest_view);
+  // Walk from the newest certified block down, checking adjacency and links.
+  const BlockId* cur = qc_for_view(newest_view);
   if (!cur) return;
   for (View back = 1; back < length; ++back) {
-    const QcPtr prev = qc_for_view(newest_view - back);
+    const BlockId* prev = qc_for_view(newest_view - back);
     if (!prev) return;
-    const BlockPtr body = store_.get(cur->block);
+    const BlockPtr body = store_.get(*cur);
     if (!body) return;  // retried when the body arrives
-    if (body->parent() != prev->block && !mutation_on(Mutation::kCommitSkipParentLink)) return;
+    if (body->parent() != *prev && !mutation_on(Mutation::kCommitSkipParentLink)) return;
     cur = prev;
   }
-  commit_chain_by_id(cur->block);
+  const BlockId target = *cur;  // a copy: committing must not read through the table
+  commit_chain_by_id(target);
 }
 
-QcPtr BaseNode::qc_for_view(View v) const { return qc_table_.find(v); }
+const BlockId* BaseNode::qc_for_view(View v) const { return qc_table_.find(v); }
 
 void BaseNode::commit_chain(const BlockPtr& block) {
   MOONSHOT_INVARIANT(block != nullptr, "commit of unknown block");
@@ -183,12 +184,12 @@ void BaseNode::commit_chain_by_id(const BlockId& target_id) {
     request_block(target_id);
     return;
   }
-  if (commit_log_.is_committed(target_id)) return;
+  if (commit_log_.is_committed(*target)) return;
 
   // Walk down to the last committed ancestor, collecting the chain.
   std::vector<BlockPtr> chain;
   BlockPtr cur = target;
-  while (!commit_log_.is_committed(cur->id())) {
+  while (!commit_log_.is_committed(*cur)) {
     chain.push_back(cur);
     if (cur->height() == 0) break;
     BlockPtr parent = store_.get(cur->parent());
@@ -226,8 +227,8 @@ bool BaseNode::store_block(const BlockPtr& block) {
   }
   // A body arriving can complete a previously recorded commit chain in any
   // window position.
-  const QcPtr qc = qc_for_view(block->view());
-  if (qc && qc->block == block->id()) {
+  const BlockId* certified = qc_for_view(block->view());
+  if (certified && *certified == block->id()) {
     for (int offset = 0; offset < commit_chain_length_; ++offset) {
       try_commit_chain_ending_at(block->view() + offset);
     }

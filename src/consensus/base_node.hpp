@@ -149,8 +149,9 @@ class BaseNode : public IConsensusNode {
   /// ending at `newest_view`, if one exists in the certificate table.
   void try_commit_chain_ending_at(View newest_view);
 
-  /// The certificate recorded for a view, if any.
-  QcPtr qc_for_view(View v) const;
+  /// The block certified in a view, if any. Only the block id is kept: the
+  /// certificate itself lives only as long as a lock, message or TC holds it.
+  const BlockId* qc_for_view(View v) const;
 
   /// Commits `block` and all its uncommitted ancestors (indirect commit).
   /// Defers quietly if some ancestor's body has not arrived yet; the commit

@@ -95,8 +95,8 @@ void HotStuffNode::handle(NodeId from, const MessagePtr& m) {
 
 void HotStuffNode::handle_qc(const QcPtr& qc, bool already_validated) {
   if (!qc || qc->kind != VoteKind::kNormal) return;
-  const QcPtr known = qc_for_view(qc->view);
-  const bool duplicate = known && known->block == qc->block;
+  const BlockId* known = qc_for_view(qc->view);
+  const bool duplicate = known && *known == qc->block;
   if (duplicate && qc->view + 1 <= view_) return;
   if (!duplicate && !already_validated && !check_qc(*qc)) return;
 

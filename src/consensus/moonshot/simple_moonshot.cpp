@@ -116,8 +116,8 @@ void SimpleMoonshotNode::handle_qc(const QcPtr& qc, bool already_validated) {
   if (!qc || qc->kind == VoteKind::kCommit) return;
   // Cheap dedup before any validation: certificates are re-multicast by
   // every node on view entry, so most arrivals are duplicates.
-  const QcPtr known = qc_for_view(qc->view);
-  const bool duplicate = known && known->block == qc->block;
+  const BlockId* known = qc_for_view(qc->view);
+  const bool duplicate = known && *known == qc->block;
   if (duplicate && qc->view + 1 <= view_) return;  // nothing new to trigger
 
   if (!duplicate && !already_validated && !check_qc(*qc)) return;

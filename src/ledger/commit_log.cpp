@@ -23,12 +23,13 @@ void CommitLog::commit(const BlockPtr& block, TimePoint when) {
   MOONSHOT_INVARIANT(block->parent() == last_id(),
                      "committed block must extend the previous commit");
   blocks_.push_back(block);
-  committed_ids_.insert(block->id());
   for (const auto& cb : callbacks_) cb(block, when);
 }
 
-bool CommitLog::is_committed(const BlockId& id) const {
-  return id == Block::genesis()->id() || committed_ids_.count(id) > 0;
+bool CommitLog::is_committed(const Block& block) const {
+  const Height h = block.height();
+  if (h == 0) return block.id() == Block::genesis()->id();
+  return h <= blocks_.size() && blocks_[h - 1]->id() == block.id();
 }
 
 bool commit_logs_consistent(const std::vector<const CommitLog*>& logs) {

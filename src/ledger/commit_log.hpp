@@ -8,7 +8,6 @@
 
 #include <functional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "support/time.hpp"
@@ -39,8 +38,10 @@ class CommitLog {
   bool fork_detected() const { return fork_detected_; }
   const std::string& fork_detail() const { return fork_detail_; }
 
-  /// True if this block id has already been committed.
-  bool is_committed(const BlockId& id) const;
+  /// True if this block has already been committed: it is genesis, or the
+  /// log holds it at its height. Answered by position, so the log keeps no
+  /// id index beside the blocks themselves.
+  bool is_committed(const Block& block) const;
 
   Height last_height() const {
     return blocks_.empty() ? 0 : blocks_.back()->height();
@@ -57,7 +58,6 @@ class CommitLog {
 
  private:
   std::vector<BlockPtr> blocks_;  // excludes genesis; blocks_[i] has height i+1
-  std::unordered_set<BlockId> committed_ids_;
   std::vector<CommitCallback> callbacks_;
   ForkPolicy fork_policy_ = ForkPolicy::kAbort;
   bool fork_detected_ = false;

@@ -291,6 +291,39 @@ TEST_F(AccumulatorTest, LateVotesAfterQuorumAreNeitherDuplicatesNorCounted) {
   EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), 3u);
 }
 
+// A bucket lets go of its votes once the certificate is assembled; the count
+// it reports, the certificate's contents and the other buckets of the view
+// must not notice.
+TEST_F(AccumulatorTest, CountKeepsTheQuorumAfterEmission) {
+  const auto gen = ValidatorSet::generate(200, crypto::fast_scheme(), 3);
+  const std::size_t quorum = gen.set->quorum_size();
+  const auto other = Block::create(1, 1, Block::genesis()->id(), Payload::synthetic(20, 2));
+  auto vote = [&](NodeId i, const BlockPtr& block) {
+    return Vote::make(VoteKind::kNormal, 1, block->id(), i, gen.private_keys[i],
+                      gen.set->scheme());
+  };
+  VoteAccumulator acc(gen.set, true);
+  acc.add(vote(199, other), 1);  // a second bucket in the same view
+  QcPtr qc;
+  for (NodeId i = 0; i < quorum; ++i) {
+    EXPECT_EQ(qc, nullptr);
+    qc = acc.add(vote(i, block_), 1);
+  }
+  ASSERT_NE(qc, nullptr);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), quorum);
+  ASSERT_EQ(qc->voters.size(), quorum);
+  for (NodeId i = 0; i < quorum; ++i) EXPECT_EQ(qc->voters[i], i);
+  EXPECT_TRUE(qc->validate(*gen.set));
+  // Late votes after the release change nothing.
+  for (NodeId i = static_cast<NodeId>(quorum); i < 199; ++i)
+    EXPECT_EQ(acc.add(vote(i, block_), 1), nullptr);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, block_->id()), quorum);
+  EXPECT_EQ(acc.duplicates_dropped(), 0u);
+  // The other bucket keeps accumulating.
+  acc.add(vote(0, other), 1);
+  EXPECT_EQ(acc.count(1, VoteKind::kNormal, other->id()), 2u);
+}
+
 TEST_F(AccumulatorTest, VoterIdsOnBitsetWordEdges) {
   for (const std::size_t n : {64u, 65u, 200u}) {
     SCOPED_TRACE(n);

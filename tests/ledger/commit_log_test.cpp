@@ -19,13 +19,31 @@ TEST(CommitLog, CommitsInOrder) {
   EXPECT_EQ(log.size(), 2u);
   EXPECT_EQ(log.last_height(), 2u);
   EXPECT_EQ(log.last_id(), b2->id());
-  EXPECT_TRUE(log.is_committed(b1->id()));
-  EXPECT_TRUE(log.is_committed(b2->id()));
+  EXPECT_TRUE(log.is_committed(*b1));
+  EXPECT_TRUE(log.is_committed(*b2));
+  EXPECT_FALSE(log.is_committed(*make_child(b2, 3)));  // above the log's tip
+}
+
+TEST(CommitLog, SiblingAtACommittedHeightIsNotCommitted) {
+  CommitLog log;
+  const auto b1 = make_child(Block::genesis(), 1);
+  const auto b2 = make_child(b1, 2);
+  log.commit(b1, TimePoint{});
+  log.commit(b2, TimePoint{});
+  const auto sibling1 = make_child(Block::genesis(), 5);  // height 1, other view
+  const auto sibling2 = make_child(b1, 6);                 // height 2, same parent as b2
+  ASSERT_EQ(sibling1->height(), b1->height());
+  ASSERT_EQ(sibling2->height(), b2->height());
+  EXPECT_FALSE(log.is_committed(*sibling1));
+  EXPECT_FALSE(log.is_committed(*sibling2));
+  EXPECT_TRUE(log.is_committed(*b1));
 }
 
 TEST(CommitLog, GenesisImplicitlyCommitted) {
   CommitLog log;
-  EXPECT_TRUE(log.is_committed(Block::genesis()->id()));
+  EXPECT_TRUE(log.is_committed(*Block::genesis()));
+  // A height-0 block other than genesis is not genesis.
+  EXPECT_FALSE(log.is_committed(*Block::create(1, 0, Block::genesis()->id(), Payload{})));
   EXPECT_EQ(log.last_id(), Block::genesis()->id());
   log.commit(Block::genesis(), TimePoint{});  // no-op
   EXPECT_EQ(log.size(), 0u);
