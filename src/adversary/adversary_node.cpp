@@ -104,8 +104,7 @@ void AdversaryNode::mimic_deliver(NodeId from, const MessagePtr& m) {
 }
 
 QcPtr AdversaryNode::accumulate_vote(const Vote& vote) {
-  const BlockPtr body = store_.get(vote.block);
-  return vote_acc_.add(vote, body ? body->height() : 0);
+  return accumulate(vote_acc_, vote);
 }
 
 void AdversaryNode::note_cert(const QcPtr& qc) {

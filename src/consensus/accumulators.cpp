@@ -16,7 +16,7 @@ std::size_t cert_threshold(const ValidatorSet& validators) {
 }
 }  // namespace
 
-QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
+VoteAccumulator::Bucket* VoteAccumulator::admit(const Vote& vote) {
   if (!validators_->contains(vote.voter)) return nullptr;
   const std::size_t n = validators_->size();
 
@@ -47,15 +47,17 @@ QcPtr VoteAccumulator::add(const Vote& vote, Height block_height) {
   bucket.votes.push_back(vote);
   ++bucket.count;
 
-  if (bucket.count >= cert_threshold(*validators_)) {
-    bucket.emitted = true;
-    QcPtr qc = QuorumCert::assemble(bucket.votes, block_height, *validators_, aggregate_);
-    // The certificate carries the votes now: free them, keep the count.
-    // Move-assign, since `votes = {}` would keep the capacity.
-    bucket.votes = std::vector<Vote>();
-    return qc;
-  }
-  return nullptr;
+  if (bucket.count < cert_threshold(*validators_)) return nullptr;
+  bucket.emitted = true;
+  return &bucket;
+}
+
+QcPtr VoteAccumulator::emit(Bucket& bucket, Height block_height) {
+  QcPtr qc = QuorumCert::assemble(bucket.votes, block_height, *validators_, aggregate_);
+  // The certificate carries the votes now: free them, keep the count.
+  // Move-assign, since `votes = {}` would keep the capacity.
+  bucket.votes = std::vector<Vote>();
+  return qc;
 }
 
 std::size_t VoteAccumulator::count(View view, VoteKind kind, const BlockId& block) const {

@@ -20,6 +20,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -79,9 +80,20 @@ class VoteAccumulator {
         verify_(verify_signatures),
         aggregate_(aggregate_certificates) {}
 
-  /// Feeds one vote. `block_height` is the height of the voted block if
-  /// known to the caller (metadata stored in the certificate), 0 otherwise.
-  QcPtr add(const Vote& vote, Height block_height);
+  /// Feeds one vote. `height_of(vote.block)` is the height of the voted
+  /// block if known to the caller (metadata stored in the certificate), 0
+  /// otherwise. It is called only by the vote that completes a quorum, so a
+  /// caller's lookup runs once per certificate, not once per vote.
+  template <class HeightOf>
+    requires std::is_invocable_r_v<Height, HeightOf&, const BlockId&>
+  QcPtr add(const Vote& vote, HeightOf&& height_of) {
+    Bucket* full = admit(vote);
+    return full ? emit(*full, height_of(vote.block)) : nullptr;
+  }
+  /// As above, with the height known up front.
+  QcPtr add(const Vote& vote, Height block_height) {
+    return add(vote, [block_height](const BlockId&) { return block_height; });
+  }
 
   /// Number of distinct voters collected for a key (testing/diagnostics);
   /// after emission this stays the quorum it reached.
@@ -117,6 +129,12 @@ class VoteAccumulator {
     // into with that kind this view, 0 if none — the equivocation probe.
     std::vector<std::uint32_t> first;
   };
+
+  /// Counts `vote` into its bucket; returns the bucket if this vote brought
+  /// it to quorum (marked emitted), nullptr otherwise.
+  Bucket* admit(const Vote& vote);
+  /// Assembles the bucket's certificate and frees its votes.
+  QcPtr emit(Bucket& bucket, Height block_height);
 
   ValidatorSetPtr validators_;
   bool verify_;

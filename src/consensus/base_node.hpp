@@ -195,6 +195,17 @@ class BaseNode : public IConsensusNode {
   void note_progress();  // view advanced via a block certificate
   void note_timeout();   // our view timer expired
 
+  /// Feeds a received vote to `acc`. The voted block's height, which the
+  /// certificate records, is looked up in the store only by the vote that
+  /// completes the quorum (0 if the body has not arrived).
+  QcPtr accumulate(VoteAccumulator& acc, const Vote& vote) {
+    return acc.add(vote, [this](const BlockId& block) {
+      ++counters_.vote_height_lookups;
+      const BlockPtr body = store_.get(block);
+      return body ? body->height() : Height{0};
+    });
+  }
+
   // --- validation helpers --------------------------------------------------------
   /// Structural + (optionally) cryptographic certificate validation.
   bool check_qc(const QuorumCert& qc) const;

@@ -30,8 +30,7 @@ void CommitMoonshotNode::on_new_certificate(const QcPtr& qc) {
 
 void CommitMoonshotNode::on_commit_vote(const Vote& vote) {
   if (vote.kind != VoteKind::kCommit) return;
-  const BlockPtr body = store_.get(vote.block);
-  if (const QcPtr qc = commit_acc_.add(vote, body ? body->height() : 0)) {
+  if (const QcPtr qc = accumulate(commit_acc_, vote)) {
     // Alternative Direct Commit: a quorum of commit votes commits the block
     // and its ancestors — no child certificate needed.
     trace(obs::EventKind::kQcFormed, qc->view, obs::id_prefix(qc->block),

@@ -94,8 +94,7 @@ void PipelinedMoonshotNode::handle(NodeId from, const MessagePtr& m) {
             on_commit_vote(msg.vote);  // Commit Moonshot
             return;
           }
-          const BlockPtr body = store_.get(msg.vote.block);
-          if (const QcPtr qc = vote_acc_.add(msg.vote, body ? body->height() : 0)) {
+          if (const QcPtr qc = accumulate(vote_acc_, msg.vote)) {
             handle_qc(qc, /*already_validated=*/true);
           }
         } else if constexpr (std::is_same_v<T, TimeoutMsgWrap>) {

@@ -71,8 +71,7 @@ void SimpleMoonshotNode::handle(NodeId from, const MessagePtr& m) {
           if (msg.vote.kind != VoteKind::kNormal) return;  // Simple has one kind
           trace(obs::EventKind::kVoteRecv, msg.vote.view,
                 static_cast<std::uint64_t>(msg.vote.kind), from);
-          const BlockPtr body = store_.get(msg.vote.block);
-          if (const QcPtr qc = vote_acc_.add(msg.vote, body ? body->height() : 0)) {
+          if (const QcPtr qc = accumulate(vote_acc_, msg.vote)) {
             handle_qc(qc, /*already_validated=*/true);
           }
         } else if constexpr (std::is_same_v<T, TimeoutMsgWrap>) {

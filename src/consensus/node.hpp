@@ -31,6 +31,9 @@ struct NodeCounters {
   std::uint64_t timeout_equivocations_seen = 0;
   std::uint64_t vote_duplicates_dropped = 0;
   std::uint64_t timeout_duplicates_dropped = 0;
+  /// Block-store lookups of a voted block's height: one per certificate
+  /// assembled from votes (BaseNode::accumulate).
+  std::uint64_t vote_height_lookups = 0;
   std::uint64_t cert_cache_hits = 0;
   std::uint64_t cert_cache_misses = 0;
 };

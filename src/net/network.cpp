@@ -11,6 +11,8 @@ namespace moonshot::net {
 // drifting variant at compile time.
 static_assert(std::variant_size_v<Message> == obs::kMessageTypeCount,
               "obs::kMessageTypeCount / message_type_label() must mirror the Message variant");
+static_assert(std::variant_size_v<Message> <= UINT8_MAX,
+              "a lane record's tag holds the wire type in 8 bits");
 
 SimNetwork::SimNetwork(sim::Scheduler& sched, std::size_t n, NetworkConfig cfg,
                        DeliverFn deliver)
@@ -22,7 +24,28 @@ SimNetwork::SimNetwork(sim::Scheduler& sched, std::size_t n, NetworkConfig cfg,
       egress_free_(n, TimePoint::zero()),
       ingress_free_(n, TimePoint::zero()),
       silenced_(n, false),
-      lanes_(n + 1, sim::kNoLane) {}
+      lanes_(n + 1, sim::kNoLane) {
+  region_.reserve(n);
+  for (NodeId id = 0; id < n; ++id) region_.push_back(regions_.region_of(id));
+  const std::size_t r = regions_.regions();
+  window_.resize(r);
+  for (RegionId a = 0; a < r; ++a) {
+    for (RegionId b = 0; b < r; ++b) {
+      // TCP windowing: a single stream sustains at most window/RTT, so a
+      // message takes an extra size/(window/RTT) beyond propagation —
+      // negligible for votes, dominant for multi-megabyte proposals on
+      // long-RTT links.
+      const Duration base = cfg_.matrix.one_way(a, b);
+      const double rtt_s = 2.0 * static_cast<double>(base.count()) / 1e9;
+      one_way_.push_back(base);
+      stream_bps_.push_back(
+          cfg_.tcp_window_bytes > 0 && rtt_s > 0
+              ? std::min(cfg_.bandwidth_bps,
+                         static_cast<double>(cfg_.tcp_window_bytes) * 8.0 / rtt_s)
+              : 0.0);
+    }
+  }
+}
 
 Duration SimNetwork::proc_cost(const Message& m, std::uint64_t wire_size) const {
   Duration c = cfg_.proc_base;
@@ -47,10 +70,51 @@ Duration SimNetwork::proc_cost(const Message& m, std::uint64_t wire_size) const 
   return c;
 }
 
-Duration SimNetwork::rx_cost(const Message& m, std::uint64_t wire_size) const {
+Duration SimNetwork::serialization(std::uint64_t wire_size) const {
   return Duration(static_cast<std::int64_t>(static_cast<double>(wire_size) * 8.0 /
-                                            cfg_.bandwidth_bps * 1e9)) +
-         proc_cost(m, wire_size);
+                                            cfg_.bandwidth_bps * 1e9));
+}
+
+Duration SimNetwork::rx_cost(const Message& m, std::uint64_t wire_size) const {
+  return serialization(wire_size) + proc_cost(m, wire_size);
+}
+
+SimNetwork::Fanout SimNetwork::begin_send(NodeId from, MessagePtr m, std::uint64_t wire) {
+  std::uint32_t h = free_held_;
+  if (h == kNoHeld) {
+    h = static_cast<std::uint32_t>(held_.size());
+    held_.emplace_back();
+  } else {
+    free_held_ = held_[h].next_free;
+  }
+  const std::size_t row = region_[from] * window_.size();
+  const Fanout f{from, h, static_cast<std::uint8_t>(m->index()), wire, rx_cost(*m, wire),
+                 &one_way_[row]};
+  held_[h].msg = std::move(m);
+  held_[h].wire = wire;
+  for (std::size_t b = 0; b < window_.size(); ++b) {
+    const double stream_bps = stream_bps_[row + b];
+    window_[b] = stream_bps > 0 ? Duration(static_cast<std::int64_t>(
+                                      static_cast<double>(wire) * 8.0 / stream_bps * 1e9))
+                                : Duration(0);
+  }
+  return f;
+}
+
+void SimNetwork::end_send(const Fanout& f) {
+  if (held_[f.held].copies == 0) release(f.held);
+}
+
+void SimNetwork::release(std::uint32_t h) {
+  held_[h].msg.reset();
+  held_[h].next_free = free_held_;
+  free_held_ = h;
+}
+
+void SimNetwork::deliver_self(const Fanout& f) {
+  stats_.messages_sent++;
+  enqueue(egress_free_.size(), sched_.now(),
+          sim::EventTag{sim::EventTag::Kind::kInternal, f.type, f.from, f.from}, f.held);
 }
 
 void SimNetwork::multicast(NodeId from, MessagePtr m) {
@@ -60,24 +124,21 @@ void SimNetwork::multicast(NodeId from, MessagePtr m) {
   if (tracer_) {
     tracer_->record(from, obs::EventKind::kMsgSent, 0, m->index(), wire, kNoNode);
   }
+  const Fanout f = begin_send(from, std::move(m), wire);
   const std::size_t n = egress_free_.size();
 
-  // Self-delivery first: immediate and free (local shortcut).
-  stats_.messages_sent++;
-  enqueue(n, sched_.now(), sim::EventTag{}, from, m, wire);
+  deliver_self(f);  // first, immediate and free (local shortcut)
 
-  // The NIC serializes the n-1 copies back-to-back. Every copy costs the
-  // receivers the same pipeline time, so it is computed once.
+  // The NIC serializes the n-1 copies back-to-back.
   TimePoint egress = std::max(sched_.now(), egress_free_[from]);
-  const Duration ser =
-      Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9));
-  const Duration rx = rx_cost(*m, wire);
+  const Duration ser = serialization(wire);
   for (NodeId to = 0; to < n; ++to) {
     if (to == from) continue;
     egress = egress + ser;
-    send_one(from, to, m, wire, egress, rx);
+    send_one(f, to, egress);
   }
   egress_free_[from] = egress;
+  end_send(f);
 }
 
 void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
@@ -87,67 +148,50 @@ void SimNetwork::unicast(NodeId from, NodeId to, MessagePtr m) {
   if (tracer_) {
     tracer_->record(from, obs::EventKind::kMsgSent, 0, m->index(), wire, to);
   }
+  const Fanout f = begin_send(from, std::move(m), wire);
   if (to == from) {
-    stats_.messages_sent++;
-    enqueue(egress_free_.size(), sched_.now(), sim::EventTag{}, from, m, wire);
-    return;
+    deliver_self(f);
+  } else {
+    const TimePoint egress = std::max(sched_.now(), egress_free_[from]) + serialization(wire);
+    egress_free_[from] = egress;
+    send_one(f, to, egress);
   }
-  const Duration ser =
-      Duration(static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 / cfg_.bandwidth_bps * 1e9));
-  const TimePoint egress = std::max(sched_.now(), egress_free_[from]) + ser;
-  egress_free_[from] = egress;
-  send_one(from, to, m, wire, egress, rx_cost(*m, wire));
+  end_send(f);
 }
 
-void SimNetwork::send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire,
-                          TimePoint egress_done, Duration rx) {
+void SimNetwork::send_one(const Fanout& f, NodeId to, TimePoint egress_done) {
   stats_.messages_sent++;
-  stats_.bytes_sent += wire;
+  stats_.bytes_sent += f.wire;
 
   if (silenced_.at(to)) {
     stats_.messages_dropped++;
-    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, m->index(), wire, from);
+    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, f.type, f.wire, f.from);
     return;
   }
 
   FaultVerdict verdict;
-  if (!faults_.empty()) verdict = faults_.apply(from, to, *m, sched_.now());
+  if (!faults_.empty()) verdict = faults_.apply(f.from, to, *held_[f.held].msg, sched_.now());
   if (verdict.drop) {
     stats_.messages_dropped++;
-    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, m->index(), wire, from);
+    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDropped, 0, f.type, f.wire, f.from);
     return;
   }
 
-  deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay, rx);
+  deliver_copy(f, to, egress_done, verdict.extra_delay);
   for (int dup = 0; dup < verdict.duplicates; ++dup) {
     stats_.messages_duplicated++;
-    deliver_copy(from, to, m, wire, egress_done, verdict.extra_delay, rx);
+    deliver_copy(f, to, egress_done, verdict.extra_delay);
   }
 }
 
-void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
-                              std::uint64_t wire, TimePoint egress_done,
-                              Duration extra_delay, Duration rx) {
-  // Propagation with jitter.
-  const Duration base =
-      cfg_.matrix.one_way(regions_.region_of(from), regions_.region_of(to));
+void SimNetwork::deliver_copy(const Fanout& f, NodeId to, TimePoint egress_done,
+                              Duration extra_delay) {
+  // Propagation with jitter, plus the TCP-window term priced for this send.
+  const RegionId region = region_[to];
   const double j = 1.0 + cfg_.jitter * (2.0 * prng_.next_double() - 1.0);
   TimePoint arrival = egress_done + extra_delay +
-      Duration(static_cast<std::int64_t>(static_cast<double>(base.count()) * j));
-
-  // TCP windowing: a single stream sustains at most window/RTT, so a message
-  // takes an extra size/(window/RTT) beyond propagation — negligible for
-  // votes, dominant for multi-megabyte proposals on long-RTT links.
-  if (cfg_.tcp_window_bytes > 0) {
-    const double rtt_s = 2.0 * static_cast<double>(base.count()) / 1e9;
-    if (rtt_s > 0) {
-      const double stream_bps =
-          std::min(cfg_.bandwidth_bps,
-                   static_cast<double>(cfg_.tcp_window_bytes) * 8.0 / rtt_s);
-      arrival = arrival + Duration(static_cast<std::int64_t>(
-                              static_cast<double>(wire) * 8.0 / stream_bps * 1e9));
-    }
-  }
+      Duration(static_cast<std::int64_t>(static_cast<double>(f.one_way[region].count()) * j));
+  arrival = arrival + window_[region];
 
   // Reorder stress: per-message random extra delay (defeats per-link FIFO).
   if (cfg_.reorder_extra.count() > 0) {
@@ -171,32 +215,35 @@ void SimNetwork::deliver_copy(NodeId from, NodeId to, const MessagePtr& m,
   // don't know the future ingress state at `arrival`, so we approximate
   // the FIFO by tracking the pipeline's busy-until watermark.
   const TimePoint start = std::max(arrival, ingress_free_[to]);
-  const TimePoint done = start + rx;
+  const TimePoint done = start + f.rx;
   ingress_free_[to] = done;
 
   // Tagged as a delivery choice point: the model checker (src/mc/) reorders
   // these events freely; normal runs execute them in (time, seq) order.
-  enqueue(to, done, sim::EventTag::delivery(to, from, static_cast<std::uint32_t>(m->index())),
-          from, m, wire);
+  enqueue(to, done, sim::EventTag::delivery(to, f.from, f.type), f.held);
 }
 
-void SimNetwork::enqueue(std::size_t lane, TimePoint at, sim::EventTag tag, NodeId from,
-                         const MessagePtr& m, std::uint64_t wire) {
+void SimNetwork::enqueue(std::size_t lane, TimePoint at, sim::EventTag tag, std::uint32_t held) {
   sim::LaneId& id = lanes_[lane];
   if (id == sim::kNoLane)
     id = sched_.open_lane([this, lane](sim::LaneEvent& copy) { receive(lane, copy); });
-  sched_.append(id, sim::LaneEvent{at, 0, tag, from, wire, m});
+  ++held_[held].copies;
+  sched_.append(id, sim::LaneEvent{at, 0, tag, held});
 }
 
-void SimNetwork::receive(std::size_t lane, sim::LaneEvent& copy) {
-  const MessagePtr m = std::static_pointer_cast<const Message>(std::move(copy.payload));
-  const NodeId from = copy.aux;
+void SimNetwork::receive(std::size_t lane, const sim::LaneEvent& copy) {
+  const NodeId from = copy.tag.peer;
   const NodeId to = lane == egress_free_.size() ? from : static_cast<NodeId>(lane);
+  // A reference into the deque: a handler that sends grows held_ without
+  // moving this slot, and only the release below can free it.
+  Held& held = held_[copy.aux];
   if (to != from) {
     stats_.messages_delivered++;
-    if (tracer_) tracer_->record(to, obs::EventKind::kMsgDelivered, 0, m->index(), copy.word, from);
+    if (tracer_)
+      tracer_->record(to, obs::EventKind::kMsgDelivered, 0, copy.tag.type, held.wire, from);
   }
-  deliver_(to, from, m);
+  deliver_(to, from, held.msg);
+  if (--held.copies == 0) release(copy.aux);
 }
 
 void SimNetwork::export_metrics(obs::Registry& reg,

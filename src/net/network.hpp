@@ -12,6 +12,11 @@
 //    non-decreasing times in send order, whatever jitter, reorder stress, the
 //    pre-GST adversary or a fault did to their arrival. So each receiver's
 //    copies form one scheduler lane (sim/scheduler.hpp), self-deliveries one more.
+//  * Cost per copy: a send is priced once. Node regions, per-region-pair
+//    propagation and TCP stream rates are tables built at construction; a
+//    send computes its window term once per destination region; and the
+//    message is held once in a refcounted slot that each 32-byte lane record
+//    names by index, so a copy costs a jitter draw, a few adds and an append.
 //  * Partial synchrony: before GST an adversary may additionally delay
 //    honest messages, but every message sent before GST is delivered by
 //    GST + Δ (Dwork et al.); after GST only the natural model applies.
@@ -21,6 +26,7 @@
 //    engine (src/chaos/) drives.
 #pragma once
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -141,15 +147,40 @@ class SimNetwork final : public INetwork {
   const NetworkConfig& config() const { return cfg_; }
 
  private:
-  void send_one(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
-                TimePoint egress_done, Duration rx);
-  void deliver_copy(NodeId from, NodeId to, const MessagePtr& m, std::uint64_t wire_size,
-                    TimePoint egress_done, Duration extra_delay, Duration rx);
+  /// What every copy of one send shares, priced once per send.
+  struct Fanout {
+    NodeId from;
+    std::uint32_t held;    // the message's slot in held_
+    std::uint8_t type;     // wire-type index
+    std::uint64_t wire;    // wire size
+    Duration rx;           // receive-pipeline time of one copy
+    const Duration* one_way;  // propagation from the sender's region, per region
+  };
+  /// A message in flight, held once for all its copies. A lane record names
+  /// it by index; the slot is freed when its last copy is delivered.
+  struct Held {
+    MessagePtr msg;
+    std::uint64_t wire = 0;
+    std::uint32_t copies = 0;   // lane records naming this slot
+    std::uint32_t next_free = 0;  // free-list link while unused
+  };
+  static constexpr std::uint32_t kNoHeld = UINT32_MAX;
+
+  /// Holds `m` and prices the terms its copies share from `from`'s region.
+  Fanout begin_send(NodeId from, MessagePtr m, std::uint64_t wire);
+  /// Frees the send's slot if no copy of it was enqueued.
+  void end_send(const Fanout& f);
+  void release(std::uint32_t held);
+  /// Enqueues the sender's own copy: immediate and free.
+  void deliver_self(const Fanout& f);
+  void send_one(const Fanout& f, NodeId to, TimePoint egress_done);
+  void deliver_copy(const Fanout& f, NodeId to, TimePoint egress_done, Duration extra_delay);
   /// Appends a copy due at `at` to lane `lane` (receiver `lane`, or self-
   /// deliveries at n), opening it on first use; receive() is its handler.
-  void enqueue(std::size_t lane, TimePoint at, sim::EventTag tag, NodeId from,
-               const MessagePtr& m, std::uint64_t wire_size);
-  void receive(std::size_t lane, sim::LaneEvent& copy);
+  /// The sender travels in `tag.peer`, the slot index in the record's aux.
+  void enqueue(std::size_t lane, TimePoint at, sim::EventTag tag, std::uint32_t held);
+  void receive(std::size_t lane, const sim::LaneEvent& copy);
+  Duration serialization(std::uint64_t wire_size) const;
   /// Receive-pipeline time of one copy: NIC serialization + processing.
   Duration rx_cost(const Message& m, std::uint64_t wire_size) const;
   Duration proc_cost(const Message& m, std::uint64_t wire_size) const;
@@ -168,6 +199,15 @@ class SimNetwork final : public INetwork {
   obs::Tracer* tracer_ = nullptr;
   NetworkStats stats_;
   std::vector<sim::LaneId> lanes_;  // per receiver, then self; opened lazily
+  // Link terms fixed by the topology, per node and per (source, destination)
+  // region pair, row-major: one-way propagation, and the sustained rate of
+  // one TCP stream (window / RTT capped at the NIC rate; 0 = no window term).
+  std::vector<RegionId> region_;
+  std::vector<Duration> one_way_;
+  std::vector<double> stream_bps_;
+  std::vector<Duration> window_;  // the current send's window term, per destination region
+  std::deque<Held> held_;  // a deque: a handler may send while its slot is borrowed
+  std::uint32_t free_held_ = kNoHeld;
 };
 
 }  // namespace moonshot::net

@@ -57,7 +57,7 @@ void Scheduler::append(LaneId id, LaneEvent ev) {
     heap_.push_back(Key{ev.t, ev.seq, 0, id});
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
-  lane.events.push_back(std::move(ev));
+  lane.events.push_back(ev);
 }
 
 void Scheduler::cancel(TaskId id) {
@@ -126,7 +126,7 @@ void Scheduler::run_lane_record(std::size_t k, std::size_t i) {
   const LaneId id = heap_[k].lane;
   Lane& lane = lanes_[id];
   auto& events = lane.events;
-  LaneEvent ev = std::move(events[i]);
+  LaneEvent ev = events[i];
   if (i == lane.head) ++lane.head;
   else events.erase(events.begin() + static_cast<std::ptrdiff_t>(i));
   if (lane.head == events.size() || (lane.head >= 64 && 2 * lane.head >= events.size())) {

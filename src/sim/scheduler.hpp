@@ -24,7 +24,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "support/time.hpp"
@@ -54,26 +54,27 @@ struct EventTag {
   static constexpr std::uint32_t kNone = static_cast<std::uint32_t>(-1);
 
   Kind kind = Kind::kInternal;
+  std::uint8_t type = 0;       // message wire-type index, for deliveries
   std::uint32_t node = kNone;  // receiver (delivery) / owner (timer)
   std::uint32_t peer = kNone;  // sender, for deliveries
-  std::uint32_t type = 0;      // message wire-type index, for deliveries
 
-  static EventTag delivery(std::uint32_t to, std::uint32_t from, std::uint32_t type) {
-    return EventTag{Kind::kDelivery, to, from, type};
+  static EventTag delivery(std::uint32_t to, std::uint32_t from, std::uint8_t type) {
+    return EventTag{Kind::kDelivery, type, to, from};
   }
-  static EventTag timer(std::uint32_t node) { return EventTag{Kind::kTimer, node, kNone, 0}; }
+  static EventTag timer(std::uint32_t node) { return EventTag{Kind::kTimer, 0, node, kNone}; }
 };
 
-/// One lane record. The scheduler reads t, seq and tag; `aux`, `word` and
-/// `payload` belong to the lane's handler.
+/// One lane record: 32 trivially copyable bytes, so a lane's vector moves
+/// records with memmove. The scheduler reads t, seq and tag; `aux` and any
+/// tag field the scheduler ignores belong to the lane's handler.
 struct LaneEvent {
   TimePoint t;
   std::uint64_t seq = 0;  // assigned by Scheduler::append()
   EventTag tag;
   std::uint32_t aux = 0;
-  std::uint64_t word = 0;
-  std::shared_ptr<const void> payload;
 };
+static_assert(sizeof(LaneEvent) == 32, "a lane record is half a cache line");
+static_assert(std::is_trivially_copyable_v<LaneEvent>);
 
 /// A pending (not yet run, not cancelled) event as seen by frontier().
 struct PendingEvent {

@@ -228,17 +228,21 @@ std::uint64_t message_wire_size(const Message& m) {
 std::uint64_t WireSizeMemo::size_of(const MessagePtr& m) {
   if (capacity_ == 0) return message_wire_size(*m);
   auto it = sizes_.find(m.get());
-  if (it != sizes_.end()) {
+  if (it != sizes_.end() && !it->second.message.expired()) {
     ++stats_.hits;
-    return it->second;
+    return it->second.size;
   }
   ++stats_.misses;
   const std::uint64_t size = message_wire_size(*m);
-  sizes_.emplace(m.get(), size);
-  pinned_.push_back(m);
-  if (pinned_.size() > capacity_) {
-    sizes_.erase(pinned_.front().get());
-    pinned_.pop_front();
+  if (it != sizes_.end()) {  // a dead message's address, recycled
+    it->second = Entry{m, size};
+    return size;
+  }
+  sizes_.emplace(m.get(), Entry{m, size});
+  order_.push_back(m.get());
+  if (order_.size() > capacity_) {
+    sizes_.erase(order_.front());
+    order_.pop_front();
   }
   return size;
 }

@@ -116,10 +116,10 @@ const char* message_type_name(const Message& m);
 /// once wrapped in a MessagePtr, and the same pointer is sized repeatedly —
 /// once per multicast or unicast, and proposals are also retransmitted on
 /// view re-entry — so a full re-serialization each time is wasted work
-/// (proposals serialize their whole block). Keyed by pointer identity; each
-/// cached entry pins its MessagePtr in the eviction FIFO so the address can
-/// neither dangle nor be recycled for a different message while the entry
-/// lives.
+/// (proposals serialize their whole block). Keyed by pointer identity. An
+/// entry holds only a weak reference, so the memo keeps no message alive: a
+/// hit needs the entry's message to be alive still, which rules out a
+/// recycled address.
 class WireSizeMemo {
  public:
   explicit WireSizeMemo(std::size_t capacity = 256) : capacity_(capacity) {}
@@ -132,12 +132,16 @@ class WireSizeMemo {
     std::uint64_t misses = 0;
   };
   const Stats& stats() const { return stats_; }
-  std::size_t size() const { return pinned_.size(); }
+  std::size_t size() const { return order_.size(); }
 
  private:
+  struct Entry {
+    std::weak_ptr<const Message> message;
+    std::uint64_t size;
+  };
   std::size_t capacity_;
-  std::unordered_map<const Message*, std::uint64_t> sizes_;
-  std::deque<MessagePtr> pinned_;  // insertion order, for eviction
+  std::unordered_map<const Message*, Entry> sizes_;
+  std::deque<const Message*> order_;  // insertion order, for eviction
   Stats stats_;
 };
 

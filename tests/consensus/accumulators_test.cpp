@@ -35,6 +35,24 @@ TEST_F(AccumulatorTest, EmitsQcAtQuorum) {
   EXPECT_EQ(qc->height, 1u);
 }
 
+TEST_F(AccumulatorTest, HeightIsAskedForOnlyByTheQuorumVote) {
+  VoteAccumulator acc(gen_.set, true);
+  std::vector<BlockId> asked;
+  const auto height_of = [&](const BlockId& block) {
+    asked.push_back(block);
+    return Height{7};
+  };
+  EXPECT_EQ(acc.add(vote_from(0), height_of), nullptr);
+  EXPECT_EQ(acc.add(vote_from(0), height_of), nullptr);  // duplicate
+  EXPECT_EQ(acc.add(vote_from(1), height_of), nullptr);
+  EXPECT_TRUE(asked.empty());
+  const auto qc = acc.add(vote_from(2), height_of);
+  ASSERT_NE(qc, nullptr);
+  EXPECT_EQ(qc->height, 7u);
+  EXPECT_EQ(acc.add(vote_from(3), height_of), nullptr);  // past quorum
+  EXPECT_EQ(asked, std::vector<BlockId>{block_->id()});
+}
+
 TEST_F(AccumulatorTest, EmitsOnlyOnce) {
   VoteAccumulator acc(gen_.set, true);
   acc.add(vote_from(0), 1);

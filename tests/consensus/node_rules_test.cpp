@@ -3,6 +3,7 @@
 // each Figure 1 / Figure 3 / Figure 4 rule emits.
 #include <gtest/gtest.h>
 
+#include "consensus/hotstuff/hotstuff.hpp"
 #include "consensus/jolteon/jolteon.hpp"
 #include "consensus/moonshot/commit_moonshot.hpp"
 #include "consensus/moonshot/pipelined_moonshot.hpp"
@@ -491,6 +492,84 @@ TEST_F(NodeRulesTest, JolteonTwoChainCommit) {
   // QC_1 + QC_2 over parent/child in consecutive rounds commit b1.
   ASSERT_GE(node.commit_log().size(), 1u);
   EXPECT_EQ(node.commit_log().blocks()[0]->id(), b1->id());
+}
+
+// --- Cross-protocol: the voted block's height is looked up at quorum time ---------
+
+/// The certificate for `block` that the node passed on: in a CertMsg (SM, PM,
+/// CM on view entry), a proposal's justify (the aggregating leader) or a
+/// timeout's lock.
+QcPtr sent_cert_for(const CaptureNetwork& net, const BlockId& block) {
+  for (const auto& s : net.sent) {
+    QcPtr qc;
+    if (const auto* c = std::get_if<CertMsg>(s.msg.get())) qc = c->qc;
+    if (const auto* p = std::get_if<ProposalMsg>(s.msg.get())) qc = p->justify;
+    if (const auto* t = std::get_if<TimeoutMsgWrap>(s.msg.get())) qc = t->timeout.high_qc;
+    if (qc && qc->block == block) return qc;
+  }
+  return nullptr;
+}
+
+// Node 1 is under test: it leads view 2, so in Jolteon and HotStuff it is
+// the aggregator that votes for b1 reach.
+template <class Node>
+class VoteHeightTest : public NodeRulesTest {
+ protected:
+  static constexpr NodeId kSelf = 1;
+  static constexpr NodeId kVoters[] = {0, 2, 3};
+  void feed_vote(Node& node, NodeId voter, VoteKind kind, const BlockPtr& block) {
+    node.handle(voter, make_message<VoteMsg>(vote_from(voter, kind, 1, block->id())));
+  }
+};
+using VoteHeightNodes =
+    ::testing::Types<SimpleMoonshotNode, PipelinedMoonshotNode, CommitMoonshotNode, JolteonNode,
+                     HotStuffNode>;
+TYPED_TEST_SUITE(VoteHeightTest, VoteHeightNodes);
+
+TYPED_TEST(VoteHeightTest, BodyStoredBeforeTheQuorumVoteGivesItsHeight) {
+  TypeParam node(this->make_ctx(this->kSelf));
+  node.start();
+  const auto b1 = this->child_of(Block::genesis(), 1);
+  this->feed_vote(node, this->kVoters[0], VoteKind::kNormal, b1);
+  node.handle(0, make_message<ProposalMsg>(b1, QuorumCert::genesis_qc(), nullptr, NodeId{0}));
+  this->feed_vote(node, this->kVoters[1], VoteKind::kNormal, b1);
+  EXPECT_EQ(node.counters().vote_height_lookups, 0u);  // no lookup below quorum
+  this->feed_vote(node, this->kVoters[2], VoteKind::kNormal, b1);
+  EXPECT_EQ(node.counters().vote_height_lookups, 1u);
+  const QcPtr qc = sent_cert_for(this->net_, b1->id());
+  ASSERT_NE(qc, nullptr);
+  EXPECT_EQ(qc->height, b1->height());
+  // The node's own vote, arriving after the quorum, looks nothing up.
+  this->feed_vote(node, this->kSelf, VoteKind::kNormal, b1);
+  EXPECT_EQ(node.counters().vote_height_lookups, 1u);
+}
+
+TYPED_TEST(VoteHeightTest, BodyNeverSeenGivesHeightZero) {
+  TypeParam node(this->make_ctx(this->kSelf));
+  node.start();
+  const auto unseen = this->child_of(Block::genesis(), 1);
+  for (const NodeId voter : this->kVoters) this->feed_vote(node, voter, VoteKind::kNormal, unseen);
+  EXPECT_EQ(node.counters().vote_height_lookups, 1u);
+  this->sched_.run_for(seconds(5));  // the lock travels with a timeout if nothing else
+  const QcPtr qc = sent_cert_for(this->net_, unseen->id());
+  ASSERT_NE(qc, nullptr);
+  EXPECT_EQ(qc->height, 0u);
+}
+
+TEST_F(NodeRulesTest, CmCommitVoteHeightLookedUpOncePerCertificate) {
+  CommitMoonshotNode node(make_ctx(3));
+  node.start();
+  const auto b1 = child_of(Block::genesis(), 1);
+  node.handle(0, make_message<VoteMsg>(vote_from(0, VoteKind::kCommit, 1, b1->id())));
+  node.handle(0, make_message<ProposalMsg>(b1, QuorumCert::genesis_qc(), nullptr, NodeId{0}));
+  node.handle(1, make_message<VoteMsg>(vote_from(1, VoteKind::kCommit, 1, b1->id())));
+  EXPECT_EQ(node.counters().vote_height_lookups, 0u);
+  EXPECT_EQ(node.commit_log().size(), 0u);
+  node.handle(2, make_message<VoteMsg>(vote_from(2, VoteKind::kCommit, 1, b1->id())));
+  EXPECT_EQ(node.counters().vote_height_lookups, 1u);
+  ASSERT_EQ(node.commit_log().size(), 1u);  // the commit certificate committed b1
+  node.handle(3, make_message<VoteMsg>(vote_from(3, VoteKind::kCommit, 1, b1->id())));
+  EXPECT_EQ(node.counters().vote_height_lookups, 1u);
 }
 
 // --- Cross-protocol: malformed input never crashes, never emits ---------------------

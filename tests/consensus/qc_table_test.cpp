@@ -151,10 +151,10 @@ TEST_F(QcTableTest, NodeRecordsAndReturnsAFarViewCertificate) {
 }
 
 // The table keeps block ids, not certificates, so a certificate lives only
-// while something still holds it: a node's lock, a message in flight (or in
-// the network's wire-size memo, which pins the last 256 messages sent) or a
-// TC. Over a run of a few hundred views every certificate seen on the wire
-// must therefore be freed once those holders have moved on.
+// while something still holds it: a node's lock, a message in flight or a
+// TC (the network's wire-size memo holds messages weakly). Over a run of a
+// few hundred views every certificate seen on the wire must therefore be
+// freed once those holders have moved on.
 TEST(CertificateLifetime, SettledCertificatesAreFreed) {
   ExperimentConfig cfg;
   cfg.protocol = ProtocolKind::kPipelinedMoonshot;
@@ -199,10 +199,9 @@ TEST(CertificateLifetime, SettledCertificatesAreFreed) {
   ASSERT_GT(r.max_view, 200u);
   ASSERT_GT(seen.size(), 200u);
 
-  // Each view sends at least a proposal and n votes, so the memo's 256
-  // messages reach back fewer than 256 / (n + 1) views; locks and the
-  // messages still queued add a couple more.
-  const View horizon = 256 / (cfg.n + 1) + 2;
+  // Locks, the leader's remembered proposal and the messages still queued
+  // reach back a few views (three in this world).
+  const View horizon = 4;
   std::set<const QuorumCert*> alive;
   View oldest_alive = r.max_view;
   for (const auto& [view, weak] : seen) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+
 #include "sim/scheduler.hpp"
 
 namespace moonshot::net {
@@ -257,6 +260,163 @@ TEST(SimNetwork, EachReceiverGetsItsCopiesInSendOrderUnderEveryPerturbation) {
     EXPECT_EQ(self_got, self_sent) << "seed " << seed;
     EXPECT_GT(net.stats().messages_duplicated, 0u);
   }
+}
+
+// --- per-send link terms ---------------------------------------------------------
+
+// Delivery time of every copy of one multicast from `from`, in a fresh network
+// (idle NICs), indexed by receiver.
+std::vector<std::int64_t> multicast_arrivals(const NetworkConfig& cfg, std::size_t n, NodeId from,
+                                             const MessagePtr& m) {
+  sim::Scheduler sched;
+  std::vector<std::int64_t> at(n, -1);
+  SimNetwork net(sched, n, cfg,
+                 [&](NodeId to, NodeId, const MessagePtr&) { at[to] = sched.now().ns; });
+  net.multicast(from, m);
+  sched.run_all();
+  return at;
+}
+
+// The closed form of one copy's delivery with jitter and processing off: the
+// copy leaves the sender's NIC after k serializations (copies go out in id
+// order), propagates one way, pays the TCP-window term
+// ⌊wire·8 / min(bw, window·8/rtt)·1e9⌋ with rtt twice the one-way time, and
+// takes one more serialization through the receiver's NIC.
+std::int64_t closed_form_arrival(const NetworkConfig& cfg, std::size_t n, NodeId from, NodeId to,
+                                 std::uint64_t wire) {
+  const RegionAssignment regions(n, std::min(cfg.regions_used, cfg.matrix.regions()),
+                                 cfg.interleave_regions);
+  const std::int64_t ser = static_cast<std::int64_t>(static_cast<double>(wire) * 8.0 /
+                                                     cfg.bandwidth_bps * 1e9);
+  const std::int64_t k = to < from ? to + 1 : to;
+  const std::int64_t one_way =
+      cfg.matrix.one_way(regions.region_of(from), regions.region_of(to)).count();
+  const double rtt_s = 2.0 * static_cast<double>(one_way) / 1e9;
+  std::int64_t window = 0;
+  if (cfg.tcp_window_bytes > 0 && rtt_s > 0) {
+    const double stream_bps =
+        std::min(cfg.bandwidth_bps, static_cast<double>(cfg.tcp_window_bytes) * 8.0 / rtt_s);
+    window = static_cast<std::int64_t>(
+        std::floor(static_cast<double>(wire) * 8.0 / stream_bps * 1e9));
+  }
+  return k * ser + one_way + window + ser;
+}
+
+void expect_closed_form(const NetworkConfig& cfg, std::size_t n, const std::string& label) {
+  for (NodeId from = 0; from < n; ++from) {
+    const MessagePtr m = big_message(from, 1000000);
+    const std::uint64_t wire = message_wire_size(*m);
+    const auto at = multicast_arrivals(cfg, n, from, m);
+    EXPECT_EQ(at[from], 0) << label;  // self-delivery: immediate and free
+    for (NodeId to = 0; to < n; ++to) {
+      if (to == from) continue;
+      EXPECT_EQ(at[to], closed_form_arrival(cfg, n, from, to, wire))
+          << label << ": " << from << " -> " << to;
+    }
+  }
+}
+
+NetworkConfig window_config() {
+  auto cfg = base_config(milliseconds(0));
+  cfg.matrix = LatencyMatrix::aws5();
+  cfg.regions_used = 5;
+  return cfg;
+}
+
+TEST(SimNetwork, TcpWindowTermMatchesClosedFormForEveryRegionPair) {
+  // Two nodes per region, so every ordered region pair, same-region ones
+  // included, carries a 1 MB proposal.
+  const auto cfg = window_config();
+  ASSERT_EQ(cfg.tcp_window_bytes, 2u * 1024 * 1024);
+  expect_closed_form(cfg, 10, "aws5");
+  // On the longest link the window, not the NIC, sets the pace: eu-north-1
+  // (nodes 4, 5) to ap-southeast-2 (nodes 8, 9) adds about 130 ms to a 1 MB
+  // proposal whose serialization takes 0.8 ms.
+  const auto at = multicast_arrivals(cfg, 10, 4, big_message(4, 1000000));
+  EXPECT_GT(at[8], (cfg.matrix.one_way(2, 4) + milliseconds(120)).count());
+}
+
+TEST(SimNetwork, TcpWindowTermVariants) {
+  auto no_window = window_config();
+  no_window.tcp_window_bytes = 0;
+  expect_closed_form(no_window, 10, "no window");
+
+  auto zero_latency = window_config();
+  zero_latency.matrix = LatencyMatrix::uniform(Duration(0), 5);
+  expect_closed_form(zero_latency, 10, "zero latency");  // rtt 0: no window term
+
+  auto interleaved = window_config();
+  interleaved.interleave_regions = true;
+  expect_closed_form(interleaved, 7, "interleaved");
+
+  auto three_regions = window_config();
+  three_regions.regions_used = 3;
+  expect_closed_form(three_regions, 8, "3 of 5 regions");
+}
+
+// --- held messages -----------------------------------------------------------------
+
+TEST(SimNetwork, MulticastHoldsTheMessageOnceAndReleasesIt) {
+  sim::Scheduler sched;
+  SimNetwork net(sched, 5, base_config(milliseconds(1)),
+                 [](NodeId, NodeId, const MessagePtr&) {});
+  const MessagePtr m = tiny_message(0);
+  net.multicast(0, m);
+  EXPECT_EQ(m.use_count(), 2);  // one reference for all five copies
+  sched.run_all();
+  EXPECT_EQ(net.stats().messages_delivered, 4u);
+  EXPECT_EQ(m.use_count(), 1);
+}
+
+TEST(SimNetwork, UnicastToSilencedNodeReleasesAtOnce) {
+  sim::Scheduler sched;
+  SimNetwork net(sched, 3, base_config(milliseconds(1)),
+                 [](NodeId, NodeId, const MessagePtr&) {});
+  net.silence(1);
+  const MessagePtr m = tiny_message(0);
+  net.unicast(0, 1, m);
+  EXPECT_EQ(m.use_count(), 1);  // no copy in flight
+  sched.run_all();
+  EXPECT_EQ(m.use_count(), 1);
+  EXPECT_EQ(net.stats().messages_dropped, 1u);
+}
+
+TEST(SimNetwork, DroppedAndDuplicatedCopiesRelease) {
+  for (const auto kind : {LinkChaosFault::Kind::kDrop, LinkChaosFault::Kind::kDuplicate}) {
+    sim::Scheduler sched;
+    std::size_t delivered = 0;
+    SimNetwork net(sched, 4, base_config(milliseconds(1)),
+                   [&](NodeId, NodeId, const MessagePtr&) { ++delivered; });
+    net.faults().add(std::make_shared<LinkChaosFault>(kind, 1.0, Duration(0),
+                                                      std::vector<Link>{}, 1));
+    const MessagePtr m = tiny_message(0);
+    net.multicast(0, m);
+    sched.run_all();
+    EXPECT_EQ(m.use_count(), 1);
+    // Self + every peer copy twice, or self alone.
+    EXPECT_EQ(delivered, kind == LinkChaosFault::Kind::kDrop ? 1u : 7u);
+  }
+}
+
+TEST(SimNetwork, CopiesRunOutOfOrderRelease) {
+  // The model checker runs lane records in any order through run_task().
+  sim::Scheduler sched;
+  std::vector<NodeId> order;
+  SimNetwork net(sched, 4, base_config(milliseconds(1)),
+                 [&](NodeId to, NodeId, const MessagePtr&) { order.push_back(to); });
+  const MessagePtr a = tiny_message(0);
+  const MessagePtr b = tiny_message(1);
+  net.multicast(0, a);
+  net.unicast(1, 2, b);
+  net.unicast(1, 2, b);
+  sched.run_internal();  // the self-delivery
+  EXPECT_EQ(a.use_count(), 2);
+  EXPECT_EQ(b.use_count(), 3);  // two sends, each held once
+  for (auto f = sched.frontier(); !f.empty(); f = sched.frontier())
+    ASSERT_TRUE(sched.run_task(f.back().id));  // latest first
+  EXPECT_EQ(order.size(), 6u);
+  EXPECT_EQ(a.use_count(), 1);
+  EXPECT_EQ(b.use_count(), 1);
 }
 
 }  // namespace
